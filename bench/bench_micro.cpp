@@ -4,6 +4,7 @@
 // cache/coalescer throughput (which bounds how fast the benches run).
 #include <benchmark/benchmark.h>
 
+#include <random>
 #include <vector>
 
 #include "complexlib/syclcplx.hpp"
@@ -11,6 +12,9 @@
 #include "core/problem.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/coalescer.hpp"
+#include "gpusim/machine.hpp"
+#include "gpusim/pipeline.hpp"
+#include "minisycl/replay.hpp"
 #include "su3/random_su3.hpp"
 #include "su3/reconstruct.hpp"
 
@@ -106,6 +110,50 @@ void BM_CacheSimAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheSimAccess);
+
+// The A100 L2: 40 MB / (16 ways x 128 B) = 20480 sets, not a power of two,
+// under a random sector stream (no locality: every access is a host cache
+// miss on the 4 MB of tag state).  BM_CacheSimAccess's 256-set sequential
+// stream never reaches the division or the miss path.
+void BM_L2Access(benchmark::State& state) {
+  const gpusim::MachineModel m = gpusim::a100();
+  gpusim::SectoredCache cache(m.l2_bytes, m.line_bytes, m.sector_bytes, m.l2_ways);
+  std::mt19937_64 rng(7);
+  std::vector<std::uint64_t> addrs(1 << 16);
+  for (auto& a : addrs) a = (rng() % (std::uint64_t{1} << 30)) & ~std::uint64_t{31};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto out = cache.access(addrs[i], (i & 3) == 0);
+    benchmark::DoNotOptimize(out);
+    i = (i + 1) & (addrs.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_L2Access);
+
+// Stage 1's merge of one uniform warp position: 32 lanes loading 16 B at a
+// 48 B stride (the 3LP k-major pattern), streaming through fresh lines so
+// the L1 misses and every miss becomes an L2 request.
+void BM_MergeWarp(benchmark::State& state) {
+  gpusim::SmFrontEnd fe(gpusim::a100(), 1);
+  std::vector<minisycl::LaneEvent> row(32);
+  for (int l = 0; l < 32; ++l) {
+    row[static_cast<std::size_t>(l)] =
+        minisycl::LaneEvent{minisycl::EventKind::LoadGlobal, 16, 0, 0, 0,
+                            static_cast<std::uint64_t>(l) * 48};
+  }
+  std::vector<gpusim::L2Op> ops;
+  std::uint32_t mem_ops = 0;
+  for (auto _ : state) {
+    minisycl::detail::merge_position(fe, 0, row.data(), 32, nullptr, ops, mem_ops);
+    benchmark::DoNotOptimize(ops.data());
+    benchmark::ClobberMemory();
+    ops.clear();
+    for (auto& e : row) e.addr += 32 * 48;
+  }
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_MergeWarp);
 
 void BM_Coalescer(benchmark::State& state) {
   std::vector<gpusim::LaneAccess> lanes;

@@ -8,7 +8,8 @@
 //    (per-SM L1), resident groups of a wave interleave their warps
 //    round-robin (shared L2/DRAM), and each warp's 32 event streams are
 //    merged position-by-position into warp instructions for the performance
-//    pipeline.
+//    pipeline.  The merge and the memory hierarchy run as the staged replay
+//    of replay.hpp; this file is its stage 0.
 //
 // Barrier semantics: a kernel declares `num_phases`; the executor runs phase
 // p for every work-item of a group before phase p+1 — precisely what
@@ -16,9 +17,7 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -26,19 +25,12 @@
 
 #include "gpusim/machine.hpp"
 #include "gpusim/occupancy.hpp"
-#include "gpusim/pipeline.hpp"
 #include "gpusim/timing.hpp"
 #include "minisycl/lane.hpp"
+#include "minisycl/replay.hpp"
 #include "minisycl/traits.hpp"
 
 namespace minisycl {
-
-/// One kernel-visible buffer, declared at launch time so the profiler can
-/// normalize its addresses (see LaunchSpec::regions).
-struct AddressRegion {
-  const void* base = nullptr;
-  std::int64_t bytes = 0;
-};
 
 /// A kernel launch: the SYCL nd_range plus local-memory request and phase
 /// count (barriers = num_phases - 1).
@@ -86,187 +78,13 @@ void execute_functional(const LaunchSpec& spec, const Kernel& kernel) {
 
 namespace detail {
 
-/// Host-address -> canonical-device-address mapping built from a launch's
-/// declared regions.  Canonical bases are assigned by *declaration order*
-/// (a pure function of the launch), 256-byte aligned with a guard gap, so
-/// two buffers never share a cache line whatever the host heap did.
-/// Addresses outside every declared region pass through unchanged.
-class AddressMap {
- public:
-  static constexpr std::uint64_t kCanonicalBase = 1ull << 40;
-  static constexpr std::uint64_t kRegionAlign = 256;
-
-  explicit AddressMap(const std::vector<AddressRegion>& regions) {
-    std::uint64_t next = kCanonicalBase;
-    for (const AddressRegion& r : regions) {
-      if (r.base == nullptr || r.bytes <= 0) continue;
-      const auto bytes = static_cast<std::uint64_t>(r.bytes);
-      entries_.push_back({reinterpret_cast<std::uint64_t>(r.base), bytes, next});
-      next += (bytes + 2 * kRegionAlign - 1) / kRegionAlign * kRegionAlign;
-    }
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& a, const Entry& b) { return a.host < b.host; });
-  }
-
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-
-  [[nodiscard]] std::uint64_t translate(std::uint64_t addr) const {
-    // Accesses cluster by buffer: try the last-hit region before searching.
-    if (last_ < entries_.size()) {
-      const Entry& e = entries_[last_];
-      if (addr >= e.host && addr - e.host < e.bytes) return e.canonical + (addr - e.host);
-    }
-    auto it = std::upper_bound(entries_.begin(), entries_.end(), addr,
-                               [](std::uint64_t a, const Entry& e) { return a < e.host; });
-    if (it == entries_.begin()) return addr;
-    --it;
-    if (addr - it->host >= it->bytes) return addr;
-    last_ = static_cast<std::size_t>(it - entries_.begin());
-    return it->canonical + (addr - it->host);
-  }
-
- private:
-  struct Entry {
-    std::uint64_t host = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t canonical = 0;
-  };
-  std::vector<Entry> entries_;
-  mutable std::size_t last_ = 0;
-};
-
-/// Merge one event position of a warp into warp instructions and feed the
-/// pipeline.  Returns issue slots consumed at this position.
-inline int merge_position(gpusim::PerfPipeline& pipe, const gpusim::Calibration& cal, int sm,
-                          const std::array<std::vector<LaneEvent>, 32>& ev, int lanes,
-                          std::size_t pos, double& control_slots,
-                          const AddressMap* amap = nullptr) {
-  gpusim::TraceCounters& ctr = pipe.counters();
-  const EventKind kind = ev[0][pos].kind;
-
-  // Partition unmasked lanes by divergence path.
-  std::array<std::uint8_t, 32> paths{};
-  std::array<bool, 32> active{};
-  int n_active = 0;
-  for (int l = 0; l < lanes; ++l) {
-    const LaneEvent& e = ev[static_cast<std::size_t>(l)][pos];
-    assert(e.kind == kind && "lane event streams diverged structurally");
-    active[static_cast<std::size_t>(l)] = e.masked == 0;
-    paths[static_cast<std::size_t>(l)] = e.path;
-    if (e.masked == 0) ++n_active;
-  }
-
-  // Distinct paths among active lanes.
-  std::array<std::uint8_t, 32> distinct{};
-  int n_paths = 0;
-  for (int l = 0; l < lanes; ++l) {
-    if (!active[static_cast<std::size_t>(l)]) continue;
-    bool seen = false;
-    for (int d = 0; d < n_paths; ++d) {
-      if (distinct[static_cast<std::size_t>(d)] == paths[static_cast<std::size_t>(l)]) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) distinct[static_cast<std::size_t>(n_paths++)] = paths[static_cast<std::size_t>(l)];
-  }
-
-  int slots = 0;
-  switch (kind) {
-    case EventKind::Flops: {
-      for (int d = 0; d < n_paths; ++d) {
-        std::uint32_t max_n = 0;
-        std::uint64_t sum_n = 0;
-        for (int l = 0; l < lanes; ++l) {
-          if (!active[static_cast<std::size_t>(l)] ||
-              paths[static_cast<std::size_t>(l)] != distinct[static_cast<std::size_t>(d)]) {
-            continue;
-          }
-          const std::uint32_t n = ev[static_cast<std::size_t>(l)][pos].value;
-          max_n = std::max(max_n, n);
-          sum_n += n;
-        }
-        const int group_slots = static_cast<int>((max_n + 1) / 2);  // FP64 FMA = 2 FLOP
-        slots += group_slots;
-        ctr.fp64_warp_slots += static_cast<std::uint64_t>(group_slots);
-        ctr.flops += sum_n;
-      }
-      break;
-    }
-    case EventKind::Branch: {
-      slots = 1;
-      ++ctr.branch_events;
-      // Divergent when the active lanes chose more than one target.
-      std::array<std::uint32_t, 32> targets{};
-      int n_targets = 0;
-      for (int l = 0; l < lanes; ++l) {
-        if (!active[static_cast<std::size_t>(l)]) continue;
-        const std::uint32_t v = ev[static_cast<std::size_t>(l)][pos].value;
-        bool seen = false;
-        for (int d = 0; d < n_targets; ++d) {
-          if (targets[static_cast<std::size_t>(d)] == v) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) targets[static_cast<std::size_t>(n_targets++)] = v;
-      }
-      if (n_targets > 1) ++ctr.divergent_branches;
-      break;
-    }
-    default: {
-      // Memory instruction: one warp instruction per divergence path.
-      // Global addresses go through the launch's canonical address map
-      // (shared events carry byte offsets, already launch-deterministic).
-      const bool global_kind = kind == EventKind::LoadGlobal ||
-                               kind == EventKind::StoreGlobal ||
-                               kind == EventKind::AtomicGlobal;
-      std::array<gpusim::LaneAccess, 32> acc{};
-      for (int d = 0; d < std::max(1, n_paths); ++d) {
-        int n = 0;
-        for (int l = 0; l < lanes; ++l) {
-          if (!active[static_cast<std::size_t>(l)] ||
-              (n_paths > 0 &&
-               paths[static_cast<std::size_t>(l)] != distinct[static_cast<std::size_t>(d)])) {
-            continue;
-          }
-          const LaneEvent& e = ev[static_cast<std::size_t>(l)][pos];
-          const std::uint64_t addr =
-              global_kind && amap != nullptr ? amap->translate(e.addr) : e.addr;
-          acc[static_cast<std::size_t>(n++)] =
-              gpusim::LaneAccess{addr, e.size, static_cast<std::uint8_t>(l)};
-        }
-        if (n == 0) continue;
-        const std::span<const gpusim::LaneAccess> span(acc.data(), static_cast<std::size_t>(n));
-        switch (kind) {
-          case EventKind::LoadGlobal: pipe.global_load(sm, span); break;
-          case EventKind::StoreGlobal: pipe.global_store(sm, span); break;
-          case EventKind::AtomicGlobal: pipe.global_atomic(sm, span); break;
-          case EventKind::LoadShared: pipe.shared_access(span, false); break;
-          case EventKind::StoreShared: pipe.shared_access(span, true); break;
-          default: break;
-        }
-        slots += 1;
-        control_slots += cal.control_slots_per_mem_op;
-      }
-      break;
-    }
-  }
-
-  slots = std::max(slots, 1);
-  ctr.warp_issue_slots += static_cast<std::uint64_t>(slots);
-  ctr.active_lane_ops += static_cast<std::uint64_t>(n_active);
-  ctr.possible_lane_ops += static_cast<std::uint64_t>(slots) * 32u;
-  return slots;
-}
-
-}  // namespace detail
-
-/// Profiled execution: returns the full Nsight-style statistics record.
+/// execute_profiled with an explicit replay plan (tests compare schedules;
+/// everything else goes through execute_profiled).
 template <PhasedKernel Kernel>
-gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
-                                     const gpusim::Calibration& cal, const LaunchSpec& spec,
-                                     const Kernel& kernel, std::string stats_name) {
+gpusim::KernelStats execute_profiled_with(const gpusim::MachineModel& m,
+                                          const gpusim::Calibration& cal,
+                                          const LaunchSpec& spec, const Kernel& kernel,
+                                          std::string stats_name, ReplayPlan plan) {
   gpusim::LaunchConfig cfg;
   cfg.global_size = spec.global_size;
   cfg.local_size = spec.local_size;
@@ -275,20 +93,14 @@ gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
   cfg.num_phases = spec.num_phases;
 
   const gpusim::OccupancyInfo occ = gpusim::compute_occupancy(m, cal, cfg);
-  gpusim::PerfPipeline pipe(m, cal);
-  gpusim::TraceCounters& ctr = pipe.counters();
-  ctr.work_items = static_cast<std::uint64_t>(spec.global_size);
+  Replay replay(m, cal, spec.regions, plan);
+  gpusim::TraceCounters sched;  // the counters stage 0 itself owns
+  sched.work_items = static_cast<std::uint64_t>(spec.global_size);
 
   const int warp = m.warp_size;
   const int warps_per_group = (spec.local_size + warp - 1) / warp;
   const std::int64_t groups = spec.global_size / spec.local_size;
   const std::int64_t wave_cap = static_cast<std::int64_t>(occ.groups_per_sm) * m.num_sms;
-
-  std::array<std::vector<LaneEvent>, 32> ev;
-  for (auto& v : ev) v.reserve(512);
-  double control_slots = 0.0;
-  const detail::AddressMap amap(spec.regions);
-  const detail::AddressMap* amap_ptr = amap.empty() ? nullptr : &amap;
 
   struct GroupState {
     int phase = 0;
@@ -311,33 +123,32 @@ gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
         const std::int64_t g = wave_start + gi;
         const int sm = static_cast<int>(gi % m.num_sms);
 
-        // Execute one warp of this group's current phase.
+        // Execute one warp of this group's current phase; its lanes record
+        // one after another into the replay's chunk.
         const int w = st.next_warp;
         const int lanes = std::min(warp, spec.local_size - w * warp);
+        std::vector<LaneEvent>& events = replay.events();
+        const std::size_t begin = events.size();
+        [[maybe_unused]] std::size_t per_lane = 0;
         for (int l = 0; l < lanes; ++l) {
-          ev[static_cast<std::size_t>(l)].clear();
+          const std::size_t lane_begin = events.size();
           const int lid = w * warp + l;
           ItemIds ids{g * spec.local_size + lid, lid, g, spec.local_size};
-          TraceLane lane(ids, local_mem[static_cast<std::size_t>(gi)].data(),
-                         &ev[static_cast<std::size_t>(l)]);
+          TraceLane lane(ids, local_mem[static_cast<std::size_t>(gi)].data(), &events);
           kernel(lane, st.phase);
-        }
-        const std::size_t n_events = ev[0].size();
-        for (int l = 1; l < lanes; ++l) {
-          assert(ev[static_cast<std::size_t>(l)].size() == n_events &&
+          if (l == 0) per_lane = events.size() - lane_begin;
+          assert(events.size() - lane_begin == per_lane &&
                  "kernel lanes must record positionally aligned event streams");
         }
-        for (std::size_t pos = 0; pos < n_events; ++pos) {
-          detail::merge_position(pipe, cal, sm, ev, lanes, pos, control_slots, amap_ptr);
-        }
-        if (st.phase == 0) ++ctr.warps;
+        replay.end_step(sm, lanes, begin);
+        if (st.phase == 0) ++sched.warps;
 
         // Advance the cursor; charge barrier events at phase boundaries.
         if (++st.next_warp == warps_per_group) {
           st.next_warp = 0;
           ++st.phase;
           if (st.phase < spec.num_phases) {
-            ctr.barrier_warp_events += static_cast<std::uint64_t>(warps_per_group);
+            sched.barrier_warp_events += static_cast<std::uint64_t>(warps_per_group);
           }
           if (st.phase >= spec.num_phases) ++done;
         }
@@ -345,10 +156,22 @@ gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
     }
   }
 
-  pipe.finalize();
-  ctr.warp_issue_slots += static_cast<std::uint64_t>(control_slots);
-  return gpusim::make_stats(m, cal, std::move(stats_name), cfg, occ, ctr,
-                            pipe.dram().cost_units(), spec.traits.codegen_slowdown);
+  ReplayTotals totals = replay.finish();
+  totals.counters.add(sched);
+  totals.counters.warp_issue_slots += static_cast<std::uint64_t>(totals.control_slots);
+  return gpusim::make_stats(m, cal, std::move(stats_name), cfg, occ, totals.counters,
+                            totals.dram_cost_units, spec.traits.codegen_slowdown);
+}
+
+}  // namespace detail
+
+/// Profiled execution: returns the full Nsight-style statistics record.
+template <PhasedKernel Kernel>
+gpusim::KernelStats execute_profiled(const gpusim::MachineModel& m,
+                                     const gpusim::Calibration& cal, const LaunchSpec& spec,
+                                     const Kernel& kernel, std::string stats_name) {
+  return detail::execute_profiled_with(m, cal, spec, kernel, std::move(stats_name),
+                                       detail::default_replay_plan());
 }
 
 }  // namespace minisycl
