@@ -1,7 +1,8 @@
 // bench_micro — host-side microbenchmarks (experiment M1) of the building
 // blocks: complex arithmetic (both libraries), SU(3) kernels, gauge
-// pack/reconstruct, the serial reference Dslash, and the simulator's own
-// cache/coalescer throughput (which bounds how fast the benches run).
+// pack/reconstruct, the serial reference Dslash, the simulator's own
+// cache/coalescer throughput (which bounds how fast the benches run), and
+// the sharded Dslash's set-up versus per-apply host cost.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -15,6 +16,7 @@
 #include "gpusim/machine.hpp"
 #include "gpusim/pipeline.hpp"
 #include "minisycl/replay.hpp"
+#include "multidev/runner.hpp"
 #include "su3/random_su3.hpp"
 #include "su3/reconstruct.hpp"
 
@@ -98,6 +100,38 @@ void BM_ReferenceDslash(benchmark::State& state) {
       static_cast<double>(state.iterations()) * p.flops() * 1e-9, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReferenceDslash)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// The sharded Dslash of the `solve` workload: 12^4 on a 1x1x2x2 grid.
+const milc::multidev::PartitionGrid kSolveGrid{.devices = {1, 1, 2, 2}};
+
+void BM_PartitionerBuild(benchmark::State& state) {
+  const milc::LatticeGeom geom(12);
+  for (auto _ : state) {
+    const milc::multidev::Partitioner part(geom, kSolveGrid, milc::Parity::Even);
+    benchmark::DoNotOptimize(part.shards().data());
+  }
+}
+BENCHMARK(BM_PartitionerBuild)->Unit(benchmark::kMillisecond);
+
+/// Functional sharded apply.  Arg 0: one-shot (a plan is built and dropped
+/// every apply); Arg 1: on a resident plan (per-apply work only).
+void BM_ShardedApply(benchmark::State& state) {
+  milc::DslashProblem p(12, 5);
+  const milc::multidev::MultiDeviceRunner runner;
+  milc::multidev::ShardPlan plan(p, kSolveGrid);
+  const bool resident = state.range(0) == 1;
+  for (auto _ : state) {
+    if (resident) {
+      runner.run_functional(p, plan, milc::Strategy::LP3_1, milc::IndexOrder::kMajor, 768);
+    } else {
+      runner.run_functional(p, kSolveGrid, milc::Strategy::LP3_1, milc::IndexOrder::kMajor,
+                            768);
+    }
+    benchmark::DoNotOptimize(p.c().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ShardedApply)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CacheSimAccess(benchmark::State& state) {
   gpusim::SectoredCache cache(128 * 1024, 128, 32, 4);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "tune/session.hpp"
@@ -157,10 +156,15 @@ Partitioner::Partitioner(const LatticeGeom& geom, const PartitionGrid& grid, Par
   const int nranks = grid.total();
   const Parity source = opposite(target);
   shards_.resize(static_cast<std::size_t>(nranks));
-  // Per-rank owned-source map: global eo -> local slot (needed to resolve
-  // in-block reads and, in the second pass, the peers' send lists).
-  std::vector<std::unordered_map<std::int64_t, std::int32_t>> src_map(
-      static_cast<std::size_t>(nranks));
+  // Owned-source lookup, indexed by global eo: the owning rank and the slot
+  // there (needed to resolve in-block reads and, in the second pass, the
+  // peers' send lists).  Every source-parity site has exactly one owner.
+  const auto half = static_cast<std::size_t>(geom.half_volume());
+  std::vector<std::int32_t> src_owner(half, -1);
+  std::vector<std::int32_t> src_slot(half, -1);
+  // This rank's ghost slot per global eo (-1: not a ghost of this rank);
+  // reset after each rank.
+  std::vector<std::int32_t> ghost_slot(half, -1);
 
   for (int r = 0; r < nranks; ++r) {
     Shard& sh = shards_[static_cast<std::size_t>(r)];
@@ -178,8 +182,9 @@ Partitioner::Partitioner(const LatticeGeom& geom, const PartitionGrid& grid, Par
       if (geom.parity(f) == target) {
         sh.target_eo.push_back(geom.eo_index(f));
       } else {
-        const auto slot = static_cast<std::int32_t>(sh.source_eo.size());
-        src_map[static_cast<std::size_t>(r)].emplace(geom.eo_index(f), slot);
+        const auto eo = static_cast<std::size_t>(geom.eo_index(f));
+        src_owner[eo] = r;
+        src_slot[eo] = static_cast<std::int32_t>(sh.source_eo.size());
         sh.source_eo.push_back(geom.eo_index(f));
       }
     });
@@ -209,7 +214,6 @@ Partitioner::Partitioner(const LatticeGeom& geom, const PartitionGrid& grid, Par
     // the three planes beyond the block (depths 1..3 — every one is read,
     // see kHaloPlanes).  Only the source-parity half of each plane goes on
     // the wire: a 2x saving over exchanging full planes.
-    std::unordered_map<std::int64_t, std::int32_t> ghost_map;
     for (int d = 0; d < kNdim; ++d) {
       if (grid.devices[static_cast<std::size_t>(d)] == 1) continue;
       const int ext = geom.extent(d);
@@ -232,8 +236,8 @@ Partitioner::Partitioner(const LatticeGeom& geom, const PartitionGrid& grid, Par
           for_each_box_site(sh.origin, sh.local_dims, d, plane, [&](const Coords& c) {
             const std::int64_t f = geom.full_index(c);
             if (geom.parity(f) != source) return;
-            const auto slot = static_cast<std::int32_t>(sh.sources() + sh.n_ghosts);
-            ghost_map.emplace(geom.eo_index(f), slot);
+            std::int32_t& slot = ghost_slot[static_cast<std::size_t>(geom.eo_index(f))];
+            if (slot < 0) slot = static_cast<std::int32_t>(sh.sources() + sh.n_ghosts);
             msg.site_eo.push_back(geom.eo_index(f));
             ++sh.n_ghosts;
           });
@@ -244,23 +248,25 @@ Partitioner::Partitioner(const LatticeGeom& geom, const PartitionGrid& grid, Par
 
     // Per-target gather table over the extended (owned + ghost) sources.
     sh.neighbors.resize(static_cast<std::size_t>(sh.targets() * kNeighbors));
-    const auto& own = src_map[static_cast<std::size_t>(r)];
     for (std::int64_t t = 0; t < sh.targets(); ++t) {
       const Coords c = geom.coords(
           geom.full_index_of(target, sh.target_eo[static_cast<std::size_t>(t)]));
       for (int k = 0; k < kNdim; ++k) {
         for (int l = 0; l < kNlinks; ++l) {
           const Coords nc = geom.displace(c, k, kStencilOffsets[static_cast<std::size_t>(l)]);
-          const std::int64_t ne = geom.eo_index(geom.full_index(nc));
-          const auto it = in_block(sh, nc) ? own.find(ne) : ghost_map.find(ne);
+          const auto ne = static_cast<std::size_t>(geom.eo_index(geom.full_index(nc)));
+          const std::int32_t slot = !in_block(sh, nc) ? ghost_slot[ne]
+                                    : src_owner[ne] == r ? src_slot[ne]
+                                                         : -1;
           // Every off-block read was enumerated by a slab above; a miss here
           // would be a partitioner bug, so fail loudly.
-          if (it == (in_block(sh, nc) ? own.end() : ghost_map.end())) {
-            throw std::logic_error("Partitioner: unresolved stencil read");
-          }
-          sh.neighbors[static_cast<std::size_t>(t * kNeighbors + k * kNlinks + l)] = it->second;
+          if (slot < 0) throw std::logic_error("Partitioner: unresolved stencil read");
+          sh.neighbors[static_cast<std::size_t>(t * kNeighbors + k * kNlinks + l)] = slot;
         }
       }
+    }
+    for (const HaloMsg& msg : sh.halo) {
+      for (const std::int64_t eo : msg.site_eo) ghost_slot[static_cast<std::size_t>(eo)] = -1;
     }
   }
 
@@ -269,13 +275,11 @@ Partitioner::Partitioner(const LatticeGeom& geom, const PartitionGrid& grid, Par
   for (Shard& sh : shards_) {
     for (HaloMsg& msg : sh.halo) {
       msg.send_slots.reserve(msg.site_eo.size());
-      const auto& owner = src_map[static_cast<std::size_t>(msg.peer)];
       for (const std::int64_t eo : msg.site_eo) {
-        const auto it = owner.find(eo);
-        if (it == owner.end()) {
+        if (src_owner[static_cast<std::size_t>(eo)] != msg.peer) {
           throw std::logic_error("Partitioner: ghost site not owned by its peer");
         }
-        msg.send_slots.push_back(it->second);
+        msg.send_slots.push_back(src_slot[static_cast<std::size_t>(eo)]);
       }
     }
   }

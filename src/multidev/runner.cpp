@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -20,51 +19,6 @@
 namespace milc::multidev {
 
 namespace {
-
-/// Device-resident data of one shard: gathered links in the kernels'
-/// column-major layout, the extended source field (owned slots followed by
-/// ghost slots) and the per-target output.
-struct ShardFields {
-  std::array<std::vector<dcomplex>, kNlinks> links;
-  std::vector<SU3Vector<dcomplex>> src;
-  std::vector<SU3Vector<dcomplex>> dst;
-};
-
-/// Gather one shard's fields from the global problem.  Link values are
-/// copied element-by-element with the same [t][k][j][i] formula
-/// DeviceGaugeLayout uses, and source values are plain copies — bit-exact,
-/// which is what makes multi-device output identical to single-device.
-/// Ghost slots start out as NaN poison: if the interior classification or
-/// the unpack protocol were wrong, the poison would propagate into the
-/// output and the bit-for-bit tests would fail loudly.
-ShardFields build_fields(DslashProblem& p, const Shard& sh) {
-  ShardFields f;
-  const GaugeView& view = p.view();
-  for (int l = 0; l < kNlinks; ++l) {
-    auto& fam = f.links[static_cast<std::size_t>(l)];
-    fam.resize(static_cast<std::size_t>(sh.targets() * kNdim * kColors * kColors));
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      const std::int64_t g = sh.target_eo[static_cast<std::size_t>(t)];
-      for (int k = 0; k < kNdim; ++k) {
-        const SU3Matrix<dcomplex>& m = view.link(l, g, k);
-        for (int j = 0; j < kColors; ++j) {
-          for (int i = 0; i < kColors; ++i) {
-            fam[static_cast<std::size_t>(((t * kNdim + k) * kColors + j) * kColors + i)] =
-                m.e[i][j];
-          }
-        }
-      }
-    }
-  }
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  f.src.resize(static_cast<std::size_t>(sh.extended_sources()),
-               SU3Vector<dcomplex>{{{nan, nan}, {nan, nan}, {nan, nan}}});
-  for (std::int64_t s = 0; s < sh.sources(); ++s) {
-    f.src[static_cast<std::size_t>(s)] = p.b()[sh.source_eo[static_cast<std::size_t>(s)]];
-  }
-  f.dst.assign(static_cast<std::size_t>(sh.targets()), SU3Vector<dcomplex>{});
-  return f;
-}
 
 /// Argument block for a contiguous target range [first, first + count) of a
 /// shard — the interior-first renumbering makes both kernel ranges plain
@@ -189,6 +143,112 @@ minisycl::LaunchSpec halo_spec(std::int64_t count, int local_size,
   return spec;
 }
 
+/// Build the pack kernel of shard `sh`'s inbound message `mi` — the sender's
+/// owned sources gathered into the plan's wire buffer, encoded in the spinor
+/// format `sw` — and hand `fn` its launch spec and kernel.
+template <typename Fn>
+decltype(auto) with_pack_kernel(ShardPlan& plan, const Shard& sh, std::size_t mi,
+                                SpinorWire sw, int local_size, double scale, Fn&& fn) {
+  const HaloMsg& msg = sh.halo[mi];
+  ShardFields& sender = plan.fields(msg.peer);
+  std::byte* wire = plan.fields(sh.rank).wire[mi].data();
+  return with_wire_element(sw, [&](auto tag) {
+    using W = decltype(tag);
+    const HaloPackKernelT<W> pack{.src = sender.src.data(),
+                                  .slots = msg.send_slots.data(),
+                                  .wire = reinterpret_cast<W*>(wire),
+                                  .count = msg.count(),
+                                  .scale = scale};
+    minisycl::LaunchSpec spec =
+        halo_spec(msg.count(), local_size, HaloPackKernelT<W>::traits());
+    spec.regions = pack_regions(pack, plan.shards()[static_cast<std::size_t>(msg.peer)]
+                                          .extended_sources());
+    return fn(spec, pack);
+  });
+}
+
+/// Build the unpack kernel of shard `sh`'s inbound message `mi`, decoding
+/// `payload` (the wire buffer, or the hardened path's verified receiver
+/// copy) into the message's ghost slots, and hand `fn` spec and kernel.
+template <typename Fn>
+decltype(auto) with_unpack_kernel(ShardPlan& plan, const Shard& sh, std::size_t mi,
+                                  SpinorWire sw, int local_size, const std::byte* payload,
+                                  double scale, Fn&& fn) {
+  const HaloMsg& msg = sh.halo[mi];
+  ShardFields& f = plan.fields(sh.rank);
+  return with_wire_element(sw, [&](auto tag) {
+    using W = decltype(tag);
+    const HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(payload),
+                                      .field = f.src.data(),
+                                      .ghost_base = msg.ghost_base,
+                                      .count = msg.count(),
+                                      .inv_scale = 1.0 / scale};
+    minisycl::LaunchSpec spec =
+        halo_spec(msg.count(), local_size, HaloUnpackKernelT<W>::traits());
+    spec.regions = unpack_regions(unpack, sh.extended_sources());
+    return fn(spec, unpack);
+  });
+}
+
+/// One apply's per-device phase times (µs), indexed by rank.
+struct PhaseTimes {
+  explicit PhaseTimes(int ndev)
+      : pack(static_cast<std::size_t>(ndev), 0.0),
+        interior(pack),
+        arrival(pack),
+        unpack(pack),
+        boundary(pack) {}
+  std::vector<double> pack, interior, arrival, unpack, boundary;
+};
+
+/// Assemble res's per-device overlap timeline and its summary ratios from
+/// one apply's phase times.
+void assemble_timeline(const DslashProblem& problem, const ShardPlan& plan, SpinorWire sw,
+                       const PhaseTimes& pt, MultiDevResult& res) {
+  const std::vector<Shard>& shards = plan.shards();
+  const int ndev = static_cast<int>(shards.size());
+  res.per_device.assign(shards.size(), DeviceTimeline{});
+  res.per_iter_us = 0.0;
+  res.halo_bytes = 0;
+  double comm_window = 0.0;
+  double hidden = 0.0;
+  std::int64_t boundary_total = 0;
+  for (int d = 0; d < ndev; ++d) {
+    const auto di = static_cast<std::size_t>(d);
+    const Shard& sh = shards[di];
+    DeviceTimeline& t = res.per_device[di];
+    t.rank = d;
+    t.interior_sites = sh.n_interior;
+    t.boundary_sites = sh.n_boundary;
+    t.halo_bytes_in = sh.halo_wire_bytes(sw);
+    t.pack_us = pt.pack[di];
+    t.interior_us = pt.interior[di];
+    t.arrival_us = pt.arrival[di];
+    t.unpack_us = pt.unpack[di];
+    t.boundary_us = pt.boundary[di];
+    t.exposed_us = std::max(0.0, t.arrival_us - (t.pack_us + t.interior_us));
+    t.iter_us = std::max(t.pack_us + t.interior_us, t.arrival_us) + t.unpack_us + t.boundary_us;
+    res.per_iter_us = std::max(res.per_iter_us, t.iter_us);
+    comm_window += std::max(0.0, t.arrival_us - t.pack_us);
+    hidden += std::max(0.0, t.arrival_us - t.pack_us) - t.exposed_us;
+    res.halo_bytes += t.halo_bytes_in;
+    boundary_total += sh.n_boundary;
+  }
+  res.overlap_efficiency = comm_window > 0.0 ? hidden / comm_window : 1.0;
+  res.comm_fraction = 0.0;
+  if (res.per_iter_us > 0.0) {
+    double comm_frac_sum = 0.0;
+    for (const DeviceTimeline& t : res.per_device) {
+      comm_frac_sum += (t.pack_us + t.unpack_us + t.exposed_us) / res.per_iter_us;
+    }
+    res.comm_fraction = comm_frac_sum / ndev;
+  }
+  res.surface_fraction =
+      static_cast<double>(boundary_total) / static_cast<double>(problem.sites());
+  res.gflops =
+      res.per_iter_us > 0.0 ? problem.flops() / (res.per_iter_us * 1e-6) / 1e9 : 0.0;
+}
+
 /// FNV-1a over raw bytes — the per-message halo-payload checksum.  Not
 /// cryptographic; it only needs to catch the injector's bit flips, and a
 /// single flipped bit always perturbs the multiply-xor chain.
@@ -264,6 +324,26 @@ void hook_queues_for_dsan(dsan::Recorder* rec,
 
 }  // namespace
 
+namespace detail {
+
+namespace {
+thread_local const ScopedSkipUnpack* g_skip_unpack = nullptr;
+}  // namespace
+
+ScopedSkipUnpack::ScopedSkipUnpack(int rank, std::size_t mi)
+    : rank_(rank), mi_(mi), prev_(g_skip_unpack) {
+  g_skip_unpack = this;
+}
+
+ScopedSkipUnpack::~ScopedSkipUnpack() { g_skip_unpack = prev_; }
+
+bool skip_unpack(int rank, std::size_t mi) {
+  const ScopedSkipUnpack* s = g_skip_unpack;
+  return s != nullptr && s->rank_ == rank && s->mi_ == mi;
+}
+
+}  // namespace detail
+
 std::string ExchangeReport::summary() const {
   std::string out;
   char buf[256];
@@ -323,10 +403,16 @@ int pick_local_size(Strategy s, IndexOrder o, int preferred, std::int64_t sites)
 
 MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
                                       const MultiDevRequest& mreq) const {
+  std::unique_ptr<ShardPlan> plan;
+  return run(problem, mreq, plan);
+}
+
+MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequest& mreq,
+                                      std::unique_ptr<ShardPlan>& plan) const {
   // With no fault plan installed the pre-existing path runs untouched —
-  // same allocations, same submissions, bit-for-bit the fault-free timeline.
-  if (faultsim::Injector::current() == nullptr) return run_plain(problem, mreq);
-  return run_hardened(problem, mreq);
+  // same submissions, bit-for-bit the fault-free timeline.
+  if (faultsim::Injector::current() == nullptr) return run_plain(problem, mreq, plan);
+  return run_hardened(problem, mreq, plan);
 }
 
 tune::TuneKey MultiDeviceRunner::tune_key(const DslashProblem& problem,
@@ -362,11 +448,13 @@ MultiDevTunedResult MultiDeviceRunner::run_tuned(DslashProblem& problem,
     candidates.push_back(c);
   }
 
+  // Every candidate runs on the same grid, so they share one plan.
+  std::unique_ptr<ShardPlan> plan;
   std::map<int, MultiDevResult> priced;
   const tune::PriceFn price = [&](const tune::Candidate& c) {
     MultiDevRequest r = mreq;
     r.req.local_size = c.local_size;
-    MultiDevResult res = run(problem, r);
+    MultiDevResult res = run(problem, r, plan);
     const double t = res.per_iter_us;
     priced[c.local_size] = std::move(res);
     return t;
@@ -388,8 +476,8 @@ std::vector<ksan::SanitizerReport> MultiDeviceRunner::dsan_check(
   return dsan::check_all(sr.rec.trace(), mreq.grid.label());
 }
 
-MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
-                                            const MultiDevRequest& mreq) const {
+MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem, const MultiDevRequest& mreq,
+                                            std::unique_ptr<ShardPlan>& slot) const {
   const int ndev = mreq.grid.total();
   if (ndev == 1) {
     // Delegate so single-device numbers reproduce bench_fig6 exactly (the
@@ -424,12 +512,11 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
   };
 
   const VariantInfo& vi = variant_info(mreq.req.variant);
-  const Partitioner part(problem.geom(), mreq.grid, problem.target_parity());
-  const std::vector<Shard>& shards = part.shards();
-
-  std::vector<ShardFields> fields;
-  fields.reserve(shards.size());
-  for (const Shard& sh : shards) fields.push_back(build_fields(problem, sh));
+  ShardPlan& plan = resident_plan(slot, problem, mreq.grid);
+  const std::vector<Shard>& shards = plan.shards();
+  const SpinorWire sw = mreq.wire.spinor;
+  plan.load(problem.b());
+  plan.size_wires(sw);
 
   std::vector<std::unique_ptr<minisycl::queue>> queues;
   for (int d = 0; d < ndev; ++d) {
@@ -447,8 +534,7 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
   res.label = config_label(mreq.req.strategy, mreq.req.order, mreq.req.local_size) + " @ " +
               mreq.grid.label();
   res.devices = ndev;
-  res.per_device.resize(static_cast<std::size_t>(ndev));
-  for (int d = 0; d < ndev; ++d) res.per_device[static_cast<std::size_t>(d)].rank = d;
+  PhaseTimes pt(ndev);
 
   // --- Phase 1: every device packs its outbound faces. ------------------
   // (msg.peer is the sender; iteration order is deterministic.)  Fabric-
@@ -457,46 +543,32 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
   // schedule.  Single-node runs have no pass-0 slabs: identical schedule.
   // Wire buffers hold *encoded* bytes (msg.wire_bytes of the format): the
   // pack kernels write the wire element type directly — no staging copy.
-  const SpinorWire sw = mreq.wire.spinor;
-  std::vector<std::vector<std::vector<std::byte>>> wires(static_cast<std::size_t>(ndev));
   std::vector<std::vector<double>> scales(static_cast<std::size_t>(ndev));
   for (const Shard& sh : shards) {
-    wires[static_cast<std::size_t>(sh.rank)].resize(sh.halo.size());
     scales[static_cast<std::size_t>(sh.rank)].assign(sh.halo.size(), 1.0);
   }
   std::vector<gpusim::LinkMessage> messages;
-  std::vector<double> pack_us(static_cast<std::size_t>(ndev), 0.0);
   std::vector<double> fabric_pack_us(static_cast<std::size_t>(ndev), 0.0);
   for (int pass = 0; pass < 2; ++pass) {
     for (const Shard& sh : shards) {
       for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
         const HaloMsg& msg = sh.halo[mi];
         if ((pass == 0) != crosses_fabric(msg.peer, sh.rank)) continue;
-        auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        wire.resize(static_cast<std::size_t>(msg.wire_bytes(sw)));
-        const double scale =
-            message_scale(sw, fields[static_cast<std::size_t>(msg.peer)].src.data(), msg);
+        const ShardFields& sender = plan.fields(msg.peer);
+        const double scale = message_scale(sw, sender.src.data(), msg);
         scales[static_cast<std::size_t>(sh.rank)][mi] = scale;
         minisycl::queue& q = *queues[static_cast<std::size_t>(msg.peer)];
-        with_wire_element(sw, [&](auto tag) {
-          using W = decltype(tag);
-          HaloPackKernelT<W> pack{.src = fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                                  .slots = msg.send_slots.data(),
-                                  .wire = reinterpret_cast<W*>(wire.data()),
-                                  .count = msg.count(),
-                                  .scale = scale};
-          minisycl::LaunchSpec pspec =
-              halo_spec(msg.count(), mreq.pack_local_size, HaloPackKernelT<W>::traits());
-          pspec.regions = pack_regions(
-              pack, shards[static_cast<std::size_t>(msg.peer)].extended_sources());
-          const gpusim::KernelStats st = q.submit(pspec, pack, "halo-pack");
-          pack_us[static_cast<std::size_t>(msg.peer)] +=
-              st.duration_us + q.launch_overhead_us();
-        });
+        with_pack_kernel(plan, sh, mi, sw, mreq.pack_local_size, scale,
+                         [&](const minisycl::LaunchSpec& spec, const auto& pack) {
+                           const gpusim::KernelStats st = q.submit(spec, pack, "halo-pack");
+                           pt.pack[static_cast<std::size_t>(msg.peer)] +=
+                               st.duration_us + q.launch_overhead_us();
+                         });
         if (rec != nullptr) {
+          const auto& wire = plan.fields(sh.rank).wire[mi];
           rec->annotate(
               msg.peer, pack_site(msg.peer, sh.rank),
-              {dsan::span_of(fields[static_cast<std::size_t>(msg.peer)].src.data(),
+              {dsan::span_of(sender.src.data(),
                              static_cast<std::size_t>(
                                  shards[static_cast<std::size_t>(msg.peer)].sources())),
                dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
@@ -504,7 +576,7 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
         }
       }
     }
-    if (pass == 0) fabric_pack_us = pack_us;
+    if (pass == 0) fabric_pack_us = pt.pack;
   }
   // A device puts its messages on the wire once the packs feeding them are
   // done (bulk departure, the cudaMemcpyPeerAsync-after-pack pattern);
@@ -519,10 +591,10 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
                           .bytes = msg.wire_bytes(sw),
                           .depart_us = fabric
                                            ? fabric_pack_us[static_cast<std::size_t>(msg.peer)]
-                                           : pack_us[static_cast<std::size_t>(msg.peer)],
+                                           : pt.pack[static_cast<std::size_t>(msg.peer)],
                           .site = exchange_site(msg.peer, sh.rank)});
       if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
+        const auto& wire = plan.fields(sh.rank).wire[mi];
         tx_ids.push_back(rec->send(msg.peer, sh.rank, exchange_site(msg.peer, sh.rank),
                                    /*round=*/1, dsan::span_of(wire.data(), wire.size()),
                                    /*dropped=*/false, fabric,
@@ -535,29 +607,26 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
   // --- Phase 2: interior compute, concurrent with the exchange. ---------
   // Host execution order (interior before unpack) also proves the interior
   // range reads no ghost slot: ghosts are still NaN poison here.
-  std::vector<double> interior_us(static_cast<std::size_t>(ndev), 0.0);
   for (const Shard& sh : shards) {
     if (sh.n_interior == 0) continue;
-    const DslashArgs<dcomplex> a =
-        range_args(fields[static_cast<std::size_t>(sh.rank)], sh, 0, sh.n_interior);
+    ShardFields& f = plan.fields(sh.rank);
     const int ls =
         pick_local_size(mreq.req.strategy, mreq.req.order, mreq.req.local_size, sh.n_interior);
-    interior_us[static_cast<std::size_t>(sh.rank)] =
-        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)], a, sh.extended_sources(),
-                      mreq.req, vi, ls, "dslash-interior");
+    pt.interior[static_cast<std::size_t>(sh.rank)] =
+        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)],
+                      range_args(f, sh, 0, sh.n_interior), sh.extended_sources(), mreq.req, vi,
+                      ls, "dslash-interior");
     if (rec != nullptr) {
-      ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
       rec->annotate(sh.rank, "dslash-interior r" + std::to_string(sh.rank),
                     {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.sources()))},
                     {dsan::span_of(f.dst.data(), static_cast<std::size_t>(sh.n_interior))});
     }
   }
 
-  std::vector<double> arrival_us(static_cast<std::size_t>(ndev), 0.0);
   if (multi_node) {
     const gpusim::FabricExchangeReport frep =
         gpusim::simulate_topology_exchange(mreq.topo, messages);
-    arrival_us = frep.arrival_us;
+    pt.arrival = frep.arrival_us;
     res.nodes = mreq.topo.nodes;
     res.intra_node_bytes = frep.intra_bytes;
     res.inter_node_bytes = frep.inter_bytes;
@@ -566,48 +635,35 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
     res.inter_wire_us = frep.inter_wire_us;
   } else {
     const gpusim::ExchangeReport xrep = simulate_exchange(mreq.link, messages, ndev);
-    arrival_us = xrep.arrival_us;
+    pt.arrival = xrep.arrival_us;
   }
   if (rec != nullptr) {
     std::size_t k = 0;
     for (const Shard& sh : shards) {
       for (std::size_t mi = 0; mi < sh.halo.size(); ++mi, ++k) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
-        rec->recv(tx_ids[k], /*delivered=*/true,
-                  {dsan::span_of(wire.data(), wire.size())});
+        const auto& wire = plan.fields(sh.rank).wire[mi];
+        rec->recv(tx_ids[k], /*delivered=*/true, {dsan::span_of(wire.data(), wire.size())});
       }
     }
   }
 
   // --- Phase 3: unpack ghosts, then boundary compute. -------------------
-  std::vector<double> unpack_us(static_cast<std::size_t>(ndev), 0.0);
   std::size_t msg_seq = 0;
   for (const Shard& sh : shards) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+    ShardFields& f = plan.fields(sh.rank);
+    minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
     for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
       const HaloMsg& msg = sh.halo[mi];
-      minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
-      const double scale = scales[static_cast<std::size_t>(sh.rank)][mi];
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloUnpackKernelT<W> unpack{
-            .wire = reinterpret_cast<const W*>(
-                wires[static_cast<std::size_t>(sh.rank)][mi].data()),
-            .field = f.src.data(),
-            .ghost_base = msg.ghost_base,
-            .count = msg.count(),
-            .inv_scale = 1.0 / scale};
-        minisycl::LaunchSpec uspec =
-            halo_spec(msg.count(), mreq.pack_local_size, HaloUnpackKernelT<W>::traits());
-        uspec.regions = unpack_regions(unpack, sh.extended_sources());
-        const gpusim::KernelStats st = q.submit(uspec, unpack, "halo-unpack");
-        unpack_us[static_cast<std::size_t>(sh.rank)] +=
-            st.duration_us + q.launch_overhead_us();
-      });
+      with_unpack_kernel(plan, sh, mi, sw, mreq.pack_local_size, f.wire[mi].data(),
+                         scales[static_cast<std::size_t>(sh.rank)][mi],
+                         [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
+                           const gpusim::KernelStats st = q.submit(spec, unpack, "halo-unpack");
+                           pt.unpack[static_cast<std::size_t>(sh.rank)] +=
+                               st.duration_us + q.launch_overhead_us();
+                         });
       if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
         rec->annotate(sh.rank, unpack_site(msg.peer, sh.rank),
-                      {dsan::span_of(wire.data(), wire.size())},
+                      {dsan::span_of(f.wire[mi].data(), f.wire[mi].size())},
                       {dsan::span_of(f.src.data() + msg.ghost_base,
                                      static_cast<std::size_t>(msg.count()))},
                       tx_ids[msg_seq]);
@@ -616,15 +672,14 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
     }
   }
 
-  std::vector<double> boundary_us(static_cast<std::size_t>(ndev), 0.0);
   for (const Shard& sh : shards) {
     if (sh.n_boundary == 0) continue;
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    const DslashArgs<dcomplex> a = range_args(f, sh, sh.n_interior, sh.n_boundary);
+    ShardFields& f = plan.fields(sh.rank);
     const int ls =
         pick_local_size(mreq.req.strategy, mreq.req.order, mreq.req.local_size, sh.n_boundary);
-    boundary_us[static_cast<std::size_t>(sh.rank)] =
-        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)], a, sh.extended_sources(),
+    pt.boundary[static_cast<std::size_t>(sh.rank)] =
+        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)],
+                      range_args(f, sh, sh.n_interior, sh.n_boundary), sh.extended_sources(),
                       mreq.req, vi, ls, "dslash-boundary");
     if (rec != nullptr) {
       rec->annotate(
@@ -636,47 +691,8 @@ MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem,
   }
 
   // --- Gather output and assemble the overlap timeline. -----------------
-  for (const Shard& sh : shards) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      problem.c()[sh.target_eo[static_cast<std::size_t>(t)]] =
-          f.dst[static_cast<std::size_t>(t)];
-    }
-  }
-
-  double comm_window = 0.0;
-  double hidden = 0.0;
-  double comm_frac_sum = 0.0;
-  std::int64_t boundary_total = 0;
-  for (int d = 0; d < ndev; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    const Shard& sh = shards[di];
-    DeviceTimeline& t = res.per_device[di];
-    t.interior_sites = sh.n_interior;
-    t.boundary_sites = sh.n_boundary;
-    t.halo_bytes_in = sh.halo_wire_bytes(sw);
-    t.pack_us = pack_us[di];
-    t.interior_us = interior_us[di];
-    t.arrival_us = arrival_us[di];
-    t.unpack_us = unpack_us[di];
-    t.boundary_us = boundary_us[di];
-    t.exposed_us = std::max(0.0, t.arrival_us - (t.pack_us + t.interior_us));
-    t.iter_us = std::max(t.pack_us + t.interior_us, t.arrival_us) + t.unpack_us + t.boundary_us;
-    res.per_iter_us = std::max(res.per_iter_us, t.iter_us);
-    comm_window += std::max(0.0, t.arrival_us - t.pack_us);
-    hidden += std::max(0.0, t.arrival_us - t.pack_us) - t.exposed_us;
-    res.halo_bytes += t.halo_bytes_in;
-    boundary_total += sh.n_boundary;
-  }
-  for (int d = 0; d < ndev; ++d) {
-    const DeviceTimeline& t = res.per_device[static_cast<std::size_t>(d)];
-    comm_frac_sum += (t.pack_us + t.unpack_us + t.exposed_us) / res.per_iter_us;
-  }
-  res.overlap_efficiency = comm_window > 0.0 ? hidden / comm_window : 1.0;
-  res.comm_fraction = comm_frac_sum / ndev;
-  res.surface_fraction =
-      static_cast<double>(boundary_total) / static_cast<double>(problem.sites());
-  res.gflops = problem.flops() / (res.per_iter_us * 1e-6) / 1e9;
+  plan.store(problem.c());
+  assemble_timeline(problem, plan, sw, pt, res);
   res.final_grid = mreq.grid;
   res.wire = mreq.wire;
   if (!multi_node) res.intra_node_bytes = res.halo_bytes;
@@ -756,7 +772,8 @@ std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
 }  // namespace
 
 MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
-                                               const MultiDevRequest& mreq) const {
+                                               const MultiDevRequest& mreq,
+                                               std::unique_ptr<ShardPlan>& plan) const {
   faultsim::Injector* inj = faultsim::Injector::current();
   const std::size_t log_mark = inj->log().size();
 
@@ -787,7 +804,9 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
         inj->on_heal_check("heal/" + rejoinable.back().what + " @ " + grid.label())) {
       const RejoinTarget tgt = rejoinable.back();
       const gpusim::NodeTopology big_topo = effective_topology(mreq.topo, tgt.grid.total());
-      const Partitioner part(problem.geom(), tgt.grid, problem.target_parity());
+      // The re-admitted ranks receive the shard state of the rejoined grid's
+      // plan — built here, and kept for the attempt on that grid.
+      const Partitioner& part = resident_plan(plan, problem, tgt.grid).partitioner();
       dsan::Recorder* rec = dsan::Recorder::current();
       bool resynced = true;
       for (int r = ndev; r < tgt.grid.total(); ++r) {
@@ -833,7 +852,7 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
       // A standby node adopts every lost shard over the fabric instead of
       // shrinking below the survivor count.
       if (node_spares > 0) {
-        const Partitioner part(problem.geom(), grid, problem.target_parity());
+        const Partitioner& part = resident_plan(plan, problem, grid).partitioner();
         dsan::Recorder* rec = dsan::Recorder::current();
         bool adopted = true;
         for (int d = 0; d < topo.devices_per_node; ++d) {
@@ -897,7 +916,7 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
       // its full width; only when no spare (or no transfer budget) is left
       // does the shrink failover below run.
       if (device_spares > 0) {
-        const Partitioner part(problem.geom(), grid, problem.target_parity());
+        const Partitioner& part = resident_plan(plan, problem, grid).partitioner();
         const int src = (lost + 1) % ndev;
         const std::string site =
             "rereplicate r" + std::to_string(lost) + " @ " + grid.label();
@@ -929,12 +948,12 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
       continue;
     }
 
-    // One Dslash application is stateless (inputs b/cfg are never mutated),
-    // so "replay from the last consistent state" is a rerun from the inputs
-    // on the surviving grid; the sharded CG solver layers checkpointed
-    // *solver* state on top of this.
+    // One Dslash application is stateless (inputs b/cfg are never mutated,
+    // and the plan reloads all per-apply state from them), so "replay from
+    // the last consistent state" is a rerun from the inputs on the surviving
+    // grid; the sharded CG solver layers checkpointed *solver* state on top.
     std::string reason;
-    if (run_attempt(problem, mreq, grid, res, reason)) break;
+    if (run_attempt(problem, mreq, resident_plan(plan, problem, grid), res, reason)) break;
     if (grid.total() == 1) {
       // Nothing left to shrink to: recovery exhausted.
       res.recovered = false;
@@ -959,18 +978,20 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
 }
 
 bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevRequest& mreq,
-                                    const PartitionGrid& grid, MultiDevResult& res,
+                                    ShardPlan& plan, MultiDevResult& res,
                                     std::string& fail_reason) const {
+  const PartitionGrid& grid = plan.grid();
   const int ndev = grid.total();
   const gpusim::NodeTopology topo = effective_topology(mreq.topo, ndev);
   const VariantInfo& vi = variant_info(mreq.req.variant);
   const ExchangeConfig& xc = mreq.xcfg;
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  const std::vector<Shard>& shards = part.shards();
-
-  std::vector<ShardFields> fields;
-  fields.reserve(shards.size());
-  for (const Shard& sh : shards) fields.push_back(build_fields(problem, sh));
+  const std::vector<Shard>& shards = plan.shards();
+  // Wire buffers hold *encoded* payload bytes in the request's wire format.
+  // Checksums, corruption, retransmission and pricing below all operate on
+  // these encoded bytes — never on a decoded staging copy.
+  const SpinorWire sw = mreq.wire.spinor;
+  plan.load(problem.b());
+  plan.size_wires(sw);
 
   std::vector<std::unique_ptr<minisycl::queue>> queues;
   for (int d = 0; d < ndev; ++d) {
@@ -991,6 +1012,7 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   for (int d = 0; d < ndev; ++d) res.per_device[static_cast<std::size_t>(d)].rank = d;
   res.per_iter_us = 0.0;
   res.halo_bytes = 0;
+  PhaseTimes pt(ndev);
 
   // Bounded-retry submission of one halo (pack/unpack) kernel.
   auto submit_halo_resilient = [&](minisycl::queue& q, const minisycl::LaunchSpec& spec,
@@ -1014,14 +1036,14 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
 
   // Bounded retry + strategy-fallback ladder for one Dslash range (the
   // per-shard analogue of ResilientRunner's rung loop).
-  auto submit_dslash_resilient = [&](minisycl::queue& q, ShardFields& f, const Shard& sh,
-                                     std::int64_t first, std::int64_t count,
+  auto submit_dslash_resilient = [&](const Shard& sh, std::int64_t first, std::int64_t count,
                                      const std::string& name, double& us_acc) -> bool {
+    minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
     std::vector<Strategy> rungs{mreq.req.strategy};
     for (Strategy s : xc.ladder) {
       if (std::find(rungs.begin(), rungs.end(), s) == rungs.end()) rungs.push_back(s);
     }
-    const DslashArgs<dcomplex> args = range_args(f, sh, first, count);
+    const DslashArgs<dcomplex> args = range_args(plan.fields(sh.rank), sh, first, count);
     for (std::size_t rung = 0; rung < rungs.size(); ++rung) {
       const RunRequest r = adapt_request(mreq.req, rungs[rung], count);
       const VariantInfo& rvi = variant_info(r.variant);
@@ -1053,73 +1075,60 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     int dst = 0;
     std::size_t mi = 0;
   };
-  // Wire buffers hold *encoded* payload bytes in the request's wire format.
-  // Checksums, corruption, retransmission and pricing below all operate on
-  // these encoded bytes — never on a decoded staging copy.
-  const SpinorWire sw = mreq.wire.spinor;
-  std::vector<std::vector<std::vector<std::byte>>> wires(static_cast<std::size_t>(ndev));
-  std::vector<double> pack_us(static_cast<std::size_t>(ndev), 0.0);
+  const auto wire_of = [&](const MsgRef& m) -> std::vector<std::byte>& {
+    return plan.fields(m.dst).wire[m.mi];
+  };
+  const auto rx_of = [&](const MsgRef& m) -> std::vector<std::byte>& {
+    return plan.fields(m.dst).rx[m.mi];
+  };
   std::vector<MsgRef> order;
   std::vector<std::uint64_t> checksums;
   std::vector<double> msg_scales;
   for (const Shard& sh : shards) {
-    auto& shard_wires = wires[static_cast<std::size_t>(sh.rank)];
     for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
       const HaloMsg& msg = sh.halo[mi];
-      shard_wires.emplace_back(static_cast<std::size_t>(msg.wire_bytes(sw)));
-      const double scale =
-          message_scale(sw, fields[static_cast<std::size_t>(msg.peer)].src.data(), msg);
-      const std::string name = "halo-pack r" + std::to_string(msg.peer) + "->r" +
-                               std::to_string(sh.rank);
-      bool ok = true;
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloPackKernelT<W> pack{.src = fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(shard_wires.back().data()),
-                                .count = msg.count(),
-                                .scale = scale};
-        minisycl::LaunchSpec pspec =
-            halo_spec(msg.count(), mreq.pack_local_size, HaloPackKernelT<W>::traits());
-        pspec.regions = pack_regions(
-            pack, shards[static_cast<std::size_t>(msg.peer)].extended_sources());
-        ok = submit_halo_resilient(*queues[static_cast<std::size_t>(msg.peer)], pspec, pack,
-                                   name, msg.peer,
-                                   pack_us[static_cast<std::size_t>(msg.peer)]);
-      });
+      const ShardFields& sender = plan.fields(msg.peer);
+      const double scale = message_scale(sw, sender.src.data(), msg);
+      const std::string name = pack_site(msg.peer, sh.rank);
+      const bool ok = with_pack_kernel(
+          plan, sh, mi, sw, mreq.pack_local_size, scale,
+          [&](const minisycl::LaunchSpec& spec, const auto& pack) {
+            return submit_halo_resilient(*queues[static_cast<std::size_t>(msg.peer)], spec,
+                                         pack, name, msg.peer,
+                                         pt.pack[static_cast<std::size_t>(msg.peer)]);
+          });
       if (!ok) {
         fail_reason = "pack kernel '" + name + "' exhausted its retries";
         return false;
       }
+      const MsgRef ref{sh.rank, mi};
+      const std::vector<std::byte>& wire = wire_of(ref);
       if (rec != nullptr) {
         rec->annotate(
             msg.peer, name,
-            {dsan::span_of(fields[static_cast<std::size_t>(msg.peer)].src.data(),
+            {dsan::span_of(sender.src.data(),
                            static_cast<std::size_t>(
                                shards[static_cast<std::size_t>(msg.peer)].sources())),
              dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-            {dsan::span_of(shard_wires.back().data(), shard_wires.back().size())});
+            {dsan::span_of(wire.data(), wire.size())});
       }
-      order.push_back(MsgRef{sh.rank, mi});
+      order.push_back(ref);
       msg_scales.push_back(scale);
-      checksums.push_back(fnv1a(shard_wires.back().data(), shard_wires.back().size()));
+      checksums.push_back(fnv1a(wire.data(), wire.size()));
     }
   }
 
   // --- Phase 2: interior compute (retry + ladder), overlapped. ------------
-  std::vector<double> interior_us(static_cast<std::size_t>(ndev), 0.0);
   for (const Shard& sh : shards) {
     if (sh.n_interior == 0) continue;
     const std::string name = "dslash-interior r" + std::to_string(sh.rank);
-    if (!submit_dslash_resilient(*queues[static_cast<std::size_t>(sh.rank)],
-                                 fields[static_cast<std::size_t>(sh.rank)], sh, 0,
-                                 sh.n_interior, name,
-                                 interior_us[static_cast<std::size_t>(sh.rank)])) {
+    if (!submit_dslash_resilient(sh, 0, sh.n_interior, name,
+                                 pt.interior[static_cast<std::size_t>(sh.rank)])) {
       fail_reason = "interior kernel '" + name + "' exhausted the strategy ladder";
       return false;
     }
     if (rec != nullptr) {
-      ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+      const ShardFields& f = plan.fields(sh.rank);
       rec->annotate(sh.rank, name,
                     {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.sources()))},
                     {dsan::span_of(f.dst.data(), static_cast<std::size_t>(sh.n_interior))});
@@ -1132,10 +1141,8 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   // source and a verified payload is unpacked exactly once.
   ExchangeReport& xr = res.exchange;
   xr.messages += static_cast<int>(order.size());
-  std::vector<std::vector<std::byte>> rx(order.size());
   std::vector<char> delivered(order.size(), 0);
   std::vector<std::uint64_t> last_tx(order.size(), 0);
-  std::vector<double> arrival(static_cast<std::size_t>(ndev), 0.0);
   double wire_clock = 0.0;
   std::size_t remaining = order.size();
   for (int round = 1; remaining > 0; ++round) {
@@ -1160,7 +1167,7 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
                       .dst = order[i].dst,
                       .bytes = hm.wire_bytes(sw),
                       .depart_us =
-                          std::max(pack_us[static_cast<std::size_t>(hm.peer)], wire_clock),
+                          std::max(pt.pack[static_cast<std::size_t>(hm.peer)], wire_clock),
                       .site = exchange_site(hm.peer, order[i].dst)});
     }
     // Over a multi-node topology the round's messages ride the two-level
@@ -1186,8 +1193,7 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     if (rec != nullptr) {
       for (std::size_t j = 0; j < msgs.size(); ++j) {
         const gpusim::LinkMessage& lm = msgs[j];
-        const auto& wire =
-            wires[static_cast<std::size_t>(lm.dst)][order[pend[j]].mi];
+        const std::vector<std::byte>& wire = wire_of(order[pend[j]]);
         round_tx[j] = rec->send(
             lm.src, lm.dst, lm.site, round, dsan::span_of(wire.data(), wire.size()),
             lm.dropped, topo.multi_node() && !topo.same_node(lm.src, lm.dst),
@@ -1200,7 +1206,6 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     for (std::size_t j = 0; j < msgs.size(); ++j) {
       const std::size_t i = pend[j];
       const gpusim::LinkMessage& lm = msgs[j];
-      const HaloMsg& hm = shards[static_cast<std::size_t>(lm.dst)].halo[order[i].mi];
       round_end = std::max(round_end, lm.done_us);
       ExchangeEvent ev;
       ev.round = round;
@@ -1214,21 +1219,19 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
       xr.corruptions += lm.corrupted ? 1 : 0;
       xr.delays += lm.delayed ? 1 : 0;
       if (!lm.dropped) {
-        rx[i] = wires[static_cast<std::size_t>(lm.dst)][order[i].mi];
+        const std::vector<std::byte>& wire = wire_of(order[i]);
+        std::vector<std::byte>& rx = rx_of(order[i]);
+        rx.assign(wire.begin(), wire.end());
         if (lm.corrupted) {
           // The bit flip lands in the *encoded* wire bytes — on a reduced
           // format that is the compressed payload, so the checksum below
           // (also over encoded bytes) catches it before any decode runs.
-          faultsim::flip_bit(rx[i].data(),
-                             static_cast<std::size_t>(hm.wire_bytes(sw)),
-                             lm.corrupt_key);
+          faultsim::flip_bit(rx.data(), rx.size(), lm.corrupt_key);
         }
-        ev.checksum_ok = fnv1a(rx[i].data(), rx[i].size()) == checksums[i];
+        ev.checksum_ok = fnv1a(rx.data(), rx.size()) == checksums[i];
         if (rec != nullptr) {
-          const auto& wire = wires[static_cast<std::size_t>(lm.dst)][order[i].mi];
-          rec->recv(round_tx[j], ev.checksum_ok,
-                    {dsan::span_of(wire.data(), wire.size())},
-                    {dsan::span_of(rx[i].data(), rx[i].size())});
+          rec->recv(round_tx[j], ev.checksum_ok, {dsan::span_of(wire.data(), wire.size())},
+                    {dsan::span_of(rx.data(), rx.size())});
           rec->checksum(round_tx[j], ev.checksum_ok);
           if (ev.checksum_ok) last_tx[i] = round_tx[j];
         }
@@ -1236,8 +1239,8 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
           delivered[i] = 1;
           --remaining;
           ev.delivered = true;
-          arrival[static_cast<std::size_t>(lm.dst)] =
-              std::max(arrival[static_cast<std::size_t>(lm.dst)], lm.done_us);
+          pt.arrival[static_cast<std::size_t>(lm.dst)] =
+              std::max(pt.arrival[static_cast<std::size_t>(lm.dst)], lm.done_us);
         } else {
           ++xr.checksum_failures;
         }
@@ -1262,54 +1265,40 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   xr.succeeded = true;
 
   // --- Phase 3: unpack from the verified receiver copies, then boundary. --
-  std::vector<double> unpack_us(static_cast<std::size_t>(ndev), 0.0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const int rank = order[i].dst;
     const Shard& sh = shards[static_cast<std::size_t>(rank)];
     const HaloMsg& msg = sh.halo[order[i].mi];
-    const std::string name = "halo-unpack r" + std::to_string(msg.peer) + "->r" +
-                             std::to_string(rank);
-    bool ok = true;
-    with_wire_element(sw, [&](auto tag) {
-      using W = decltype(tag);
-      HaloUnpackKernelT<W> unpack{
-          .wire = reinterpret_cast<const W*>(rx[i].data()),
-          .field = fields[static_cast<std::size_t>(rank)].src.data(),
-          .ghost_base = msg.ghost_base,
-          .count = msg.count(),
-          .inv_scale = 1.0 / msg_scales[i]};
-      minisycl::LaunchSpec uspec =
-          halo_spec(msg.count(), mreq.pack_local_size, HaloUnpackKernelT<W>::traits());
-      uspec.regions = unpack_regions(unpack, sh.extended_sources());
-      ok = submit_halo_resilient(*queues[static_cast<std::size_t>(rank)], uspec, unpack,
-                                 name, rank, unpack_us[static_cast<std::size_t>(rank)]);
-    });
+    const std::vector<std::byte>& rx = rx_of(order[i]);
+    const std::string name = unpack_site(msg.peer, rank);
+    const bool ok = with_unpack_kernel(
+        plan, sh, order[i].mi, sw, mreq.pack_local_size, rx.data(), msg_scales[i],
+        [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
+          return submit_halo_resilient(*queues[static_cast<std::size_t>(rank)], spec, unpack,
+                                       name, rank, pt.unpack[static_cast<std::size_t>(rank)]);
+        });
     if (!ok) {
       fail_reason = "unpack kernel '" + name + "' exhausted its retries";
       return false;
     }
     if (rec != nullptr) {
-      rec->annotate(rank, name, {dsan::span_of(rx[i].data(), rx[i].size())},
-                    {dsan::span_of(fields[static_cast<std::size_t>(rank)].src.data() +
-                                       msg.ghost_base,
+      rec->annotate(rank, name, {dsan::span_of(rx.data(), rx.size())},
+                    {dsan::span_of(plan.fields(rank).src.data() + msg.ghost_base,
                                    static_cast<std::size_t>(msg.count()))},
                     last_tx[i]);
     }
   }
 
-  std::vector<double> boundary_us(static_cast<std::size_t>(ndev), 0.0);
   for (const Shard& sh : shards) {
     if (sh.n_boundary == 0) continue;
     const std::string name = "dslash-boundary r" + std::to_string(sh.rank);
-    if (!submit_dslash_resilient(*queues[static_cast<std::size_t>(sh.rank)],
-                                 fields[static_cast<std::size_t>(sh.rank)], sh, sh.n_interior,
-                                 sh.n_boundary, name,
-                                 boundary_us[static_cast<std::size_t>(sh.rank)])) {
+    if (!submit_dslash_resilient(sh, sh.n_interior, sh.n_boundary, name,
+                                 pt.boundary[static_cast<std::size_t>(sh.rank)])) {
       fail_reason = "boundary kernel '" + name + "' exhausted the strategy ladder";
       return false;
     }
     if (rec != nullptr) {
-      ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+      const ShardFields& f = plan.fields(sh.rank);
       rec->annotate(
           sh.rank, name,
           {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.extended_sources()))},
@@ -1319,65 +1308,36 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
   }
 
   // --- Gather output and assemble the overlap timeline. -------------------
-  for (const Shard& sh : shards) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      problem.c()[sh.target_eo[static_cast<std::size_t>(t)]] =
-          f.dst[static_cast<std::size_t>(t)];
-    }
-  }
-
-  double comm_window = 0.0;
-  double hidden = 0.0;
-  std::int64_t boundary_total = 0;
-  for (int d = 0; d < ndev; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    const Shard& sh = shards[di];
-    DeviceTimeline& t = res.per_device[di];
-    t.interior_sites = sh.n_interior;
-    t.boundary_sites = sh.n_boundary;
-    t.halo_bytes_in = sh.halo_wire_bytes(sw);
-    t.pack_us = pack_us[di];
-    t.interior_us = interior_us[di];
-    t.arrival_us = arrival[di];
-    t.unpack_us = unpack_us[di];
-    t.boundary_us = boundary_us[di];
-    t.exposed_us = std::max(0.0, t.arrival_us - (t.pack_us + t.interior_us));
-    t.iter_us = std::max(t.pack_us + t.interior_us, t.arrival_us) + t.unpack_us + t.boundary_us;
-    res.per_iter_us = std::max(res.per_iter_us, t.iter_us);
-    comm_window += std::max(0.0, t.arrival_us - t.pack_us);
-    hidden += std::max(0.0, t.arrival_us - t.pack_us) - t.exposed_us;
-    res.halo_bytes += t.halo_bytes_in;
-    boundary_total += sh.n_boundary;
-  }
-  res.overlap_efficiency = comm_window > 0.0 ? hidden / comm_window : 1.0;
-  res.comm_fraction = 0.0;
-  if (res.per_iter_us > 0.0) {
-    double comm_frac_sum = 0.0;
-    for (int d = 0; d < ndev; ++d) {
-      const DeviceTimeline& t = res.per_device[static_cast<std::size_t>(d)];
-      comm_frac_sum += (t.pack_us + t.unpack_us + t.exposed_us) / res.per_iter_us;
-    }
-    res.comm_fraction = comm_frac_sum / ndev;
-  }
-  res.surface_fraction =
-      static_cast<double>(boundary_total) / static_cast<double>(problem.sites());
-  res.gflops =
-      res.per_iter_us > 0.0 ? problem.flops() / (res.per_iter_us * 1e-6) / 1e9 : 0.0;
+  plan.store(problem.c());
+  assemble_timeline(problem, plan, sw, pt, res);
   return true;
 }
 
 void MultiDeviceRunner::run_functional(DslashProblem& problem, const PartitionGrid& grid,
                                        Strategy s, IndexOrder o, int preferred_local_size,
                                        const WireFormat& wire_fmt) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
+  ShardPlan plan(problem, grid);
+  run_functional(problem, plan, s, o, preferred_local_size, wire_fmt);
+}
+
+void MultiDeviceRunner::run_functional(DslashProblem& problem, ShardPlan& plan, Strategy s,
+                                       IndexOrder o, int preferred_local_size,
+                                       const WireFormat& wire_fmt) const {
+  if (!plan.built_for(problem, plan.grid())) {
+    throw std::invalid_argument("run_functional: the plan for grid " + plan.grid().label() +
+                                " was built for a different problem");
+  }
+  const std::vector<Shard>& shards = plan.shards();
+  const SpinorWire sw = wire_fmt.spinor;
+  plan.load(problem.b());
+  plan.size_wires(sw);
   minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order, machine_,
                     cal_);
   constexpr int kPackLocal = 96;
 
   dsan::Recorder* rec = dsan::Recorder::current();
   if (rec != nullptr) {
-    rec->barrier("apply @ " + grid.label());
+    rec->barrier("apply @ " + plan.grid().label());
     // One functional queue serves every logical shard; annotate() re-assigns
     // each launch to its acting rank right after submission.
     q.set_kernel_hook([rec](const std::string& name, const gpusim::KernelStats&) {
@@ -1385,54 +1345,41 @@ void MultiDeviceRunner::run_functional(DslashProblem& problem, const PartitionGr
     });
   }
 
-  std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
-
   // pack -> (wire) -> interior (ghosts still poisoned) -> unpack -> boundary
-  const SpinorWire sw = wire_fmt.spinor;
-  std::vector<std::vector<std::vector<std::byte>>> wires(part.shards().size());
-  std::vector<std::vector<double>> scales(part.shards().size());
-  std::vector<std::vector<std::uint64_t>> tx(part.shards().size());
-  for (const Shard& sh : part.shards()) {
-    auto& shard_wires = wires[static_cast<std::size_t>(sh.rank)];
-    auto& shard_scales = scales[static_cast<std::size_t>(sh.rank)];
-    for (const HaloMsg& msg : sh.halo) {
-      shard_wires.emplace_back(static_cast<std::size_t>(msg.wire_bytes(sw)));
-      const double scale =
-          message_scale(sw, fields[static_cast<std::size_t>(msg.peer)].src.data(), msg);
-      shard_scales.push_back(scale);
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloPackKernelT<W> pack{.src = fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(shard_wires.back().data()),
-                                .count = msg.count(),
-                                .scale = scale};
-        q.submit(halo_spec(msg.count(), kPackLocal, HaloPackKernelT<W>::traits()), pack);
-      });
+  std::vector<std::vector<double>> scales(shards.size());
+  std::vector<std::vector<std::uint64_t>> tx(shards.size());
+  for (const Shard& sh : shards) {
+    const std::vector<std::vector<std::byte>>& wires = plan.fields(sh.rank).wire;
+    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
+      const HaloMsg& msg = sh.halo[mi];
+      const ShardFields& sender = plan.fields(msg.peer);
+      const double scale = message_scale(sw, sender.src.data(), msg);
+      scales[static_cast<std::size_t>(sh.rank)].push_back(scale);
+      with_pack_kernel(plan, sh, mi, sw, kPackLocal, scale,
+                       [&](const minisycl::LaunchSpec& spec, const auto& pack) {
+                         q.submit(spec, pack);
+                       });
       if (rec != nullptr) {
         rec->annotate(
             msg.peer, pack_site(msg.peer, sh.rank),
-            {dsan::span_of(
-                 fields[static_cast<std::size_t>(msg.peer)].src.data(),
-                 static_cast<std::size_t>(
-                     part.shards()[static_cast<std::size_t>(msg.peer)].sources())),
+            {dsan::span_of(sender.src.data(),
+                           static_cast<std::size_t>(
+                               shards[static_cast<std::size_t>(msg.peer)].sources())),
              dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-            {dsan::span_of(shard_wires.back().data(), shard_wires.back().size())});
-        tx[static_cast<std::size_t>(sh.rank)].push_back(rec->send(
-            msg.peer, sh.rank, exchange_site(msg.peer, sh.rank), /*round=*/1,
-            dsan::span_of(shard_wires.back().data(), shard_wires.back().size()),
-            /*dropped=*/false, /*aggregated=*/false));
+            {dsan::span_of(wires[mi].data(), wires[mi].size())});
+        tx[static_cast<std::size_t>(sh.rank)].push_back(
+            rec->send(msg.peer, sh.rank, exchange_site(msg.peer, sh.rank), /*round=*/1,
+                      dsan::span_of(wires[mi].data(), wires[mi].size()),
+                      /*dropped=*/false, /*aggregated=*/false));
       }
     }
   }
 
   const RunRequest req{.strategy = s, .order = o, .local_size = preferred_local_size};
   const VariantInfo& vi = variant_info(Variant::SYCL);
-  for (const Shard& sh : part.shards()) {
+  for (const Shard& sh : shards) {
     if (sh.n_interior == 0) continue;
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+    ShardFields& f = plan.fields(sh.rank);
     const int ls = pick_local_size(s, o, preferred_local_size, sh.n_interior);
     submit_dslash(q, range_args(f, sh, 0, sh.n_interior), sh.extended_sources(), req, vi, ls,
                   "dslash-interior");
@@ -1443,28 +1390,22 @@ void MultiDeviceRunner::run_functional(DslashProblem& problem, const PartitionGr
     }
   }
 
-  for (const Shard& sh : part.shards()) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+  for (const Shard& sh : shards) {
+    ShardFields& f = plan.fields(sh.rank);
     for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
       const HaloMsg& msg = sh.halo[mi];
+      const std::vector<std::byte>& wire = f.wire[mi];
       if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
         rec->recv(tx[static_cast<std::size_t>(sh.rank)][mi], /*delivered=*/true,
                   {dsan::span_of(wire.data(), wire.size())});
       }
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        HaloUnpackKernelT<W> unpack{
-            .wire = reinterpret_cast<const W*>(
-                wires[static_cast<std::size_t>(sh.rank)][mi].data()),
-            .field = f.src.data(),
-            .ghost_base = msg.ghost_base,
-            .count = msg.count(),
-            .inv_scale = 1.0 / scales[static_cast<std::size_t>(sh.rank)][mi]};
-        q.submit(halo_spec(msg.count(), kPackLocal, HaloUnpackKernelT<W>::traits()), unpack);
-      });
+      if (detail::skip_unpack(sh.rank, mi)) continue;
+      with_unpack_kernel(plan, sh, mi, sw, kPackLocal, wire.data(),
+                         scales[static_cast<std::size_t>(sh.rank)][mi],
+                         [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
+                           q.submit(spec, unpack);
+                         });
       if (rec != nullptr) {
-        const auto& wire = wires[static_cast<std::size_t>(sh.rank)][mi];
         rec->annotate(sh.rank, unpack_site(msg.peer, sh.rank),
                       {dsan::span_of(wire.data(), wire.size())},
                       {dsan::span_of(f.src.data() + msg.ghost_base,
@@ -1486,27 +1427,19 @@ void MultiDeviceRunner::run_functional(DslashProblem& problem, const PartitionGr
     }
   }
 
-  for (const Shard& sh : part.shards()) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::int64_t t = 0; t < sh.targets(); ++t) {
-      problem.c()[sh.target_eo[static_cast<std::size_t>(t)]] =
-          f.dst[static_cast<std::size_t>(t)];
-    }
-  }
+  plan.store(problem.c());
 }
 
 void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGrid& grid,
                                       ColorField& out) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
+  ShardPlan plan(problem, grid);
+  plan.load(problem.b());
 
   // Serial exchange: copy every wire site straight from owner to ghost slot.
-  for (const Shard& sh : part.shards()) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+  for (const Shard& sh : plan.shards()) {
+    ShardFields& f = plan.fields(sh.rank);
     for (const HaloMsg& msg : sh.halo) {
-      const ShardFields& peer = fields[static_cast<std::size_t>(msg.peer)];
+      const ShardFields& peer = plan.fields(msg.peer);
       for (std::int64_t i = 0; i < msg.count(); ++i) {
         f.src[static_cast<std::size_t>(msg.ghost_base + i)] =
             peer.src[static_cast<std::size_t>(msg.send_slots[static_cast<std::size_t>(i)])];
@@ -1517,8 +1450,8 @@ void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGri
   // Per-shard evaluation in dslash_reference's exact loop order (k outer,
   // l inner, matvec + signed accumulate) over the gathered shard data —
   // the same values in the same operations, so bit-for-bit equal.
-  for (const Shard& sh : part.shards()) {
-    const ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
+  for (const Shard& sh : plan.shards()) {
+    const ShardFields& f = plan.fields(sh.rank);
     for (std::int64_t t = 0; t < sh.targets(); ++t) {
       SU3Vector<dcomplex> acc;
       for (int k = 0; k < kNdim; ++k) {
@@ -1544,137 +1477,87 @@ void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGri
   }
 }
 
-std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_halo(
-    DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
-    const WireFormat& wire_fmt) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
+namespace {
 
-  const SpinorWire sw = wire_fmt.spinor;
+/// ksan replay of every pack and unpack launch of one exchange, with exact
+/// region declarations.  Pack reads must stay inside the sender's *owned*
+/// sources (reading a ghost slot would be an ordering bug) and write inside
+/// the wire; unpack reads the payload and writes *only* its message's ghost
+/// span — declaring exactly that span turns any stray write (owned sites,
+/// another message's ghosts) into a reported OOB.  The fused convert
+/// kernels run at the requested format, so accesses are checked against the
+/// *encoded* buffers.  With `via_copy` the hardened data flow: every
+/// delivery lands on a receiver-side copy the unpack reads (the sender
+/// buffer stays pristine for retransmission), and the first message of
+/// every shard is redelivered and re-unpacked in a *separate* launch — a
+/// retransmission whose repeated ghost writes are ordered by the launch
+/// boundary, hence clean.
+std::vector<ksan::SanitizerReport> sanitize_messages(DslashProblem& problem,
+                                                     const PartitionGrid& grid,
+                                                     int pack_local_size, SpinorWire sw,
+                                                     bool via_copy) {
+  ShardPlan plan(problem, grid);
+  plan.load(problem.b());
+  plan.size_wires(sw);
   std::vector<ksan::SanitizerReport> reports;
-  for (const Shard& sh : part.shards()) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (const HaloMsg& msg : sh.halo) {
-      std::vector<std::byte> wire(static_cast<std::size_t>(msg.wire_bytes(sw)));
-      const Shard& peer_sh = part.shard(msg.peer);
-      ShardFields& peer = fields[static_cast<std::size_t>(msg.peer)];
+  for (const Shard& sh : plan.shards()) {
+    ShardFields& f = plan.fields(sh.rank);
+    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
+      const HaloMsg& msg = sh.halo[mi];
+      const ShardFields& peer = plan.fields(msg.peer);
+      const std::vector<std::byte>& wire = f.wire[mi];
       const std::string suffix = " r" + std::to_string(msg.peer) + "->r" +
                                  std::to_string(sh.rank) + " dim" + std::to_string(msg.dim) +
                                  (msg.side == 0 ? "-" : "+");
       const double scale = message_scale(sw, peer.src.data(), msg);
 
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        // Pack: reads must stay inside the sender's *owned* sources (reading
-        // a ghost slot would be an ordering bug), writes inside the wire.
-        // The fused convert-pack kernel is sanitized at the requested
-        // format, so its accesses are checked against the *encoded* buffer.
-        HaloPackKernelT<W> pack{.src = peer.src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(wire.data()),
-                                .count = msg.count(),
-                                .scale = scale};
-        ksan::SanitizeConfig pack_cfg;
-        pack_cfg.regions.push_back(
-            ksan::region_of(peer.src.data(), static_cast<std::size_t>(peer_sh.sources())));
-        pack_cfg.regions.push_back(
-            ksan::region_of(msg.send_slots.data(), msg.send_slots.size()));
-        pack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
-        reports.push_back(
-            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, pack.traits()),
-                                  pack, std::move(pack_cfg), "halo-pack" + suffix));
+      with_pack_kernel(
+          plan, sh, mi, sw, pack_local_size, scale,
+          [&](const minisycl::LaunchSpec& spec, const auto& pack) {
+            const Shard& sender = plan.shards()[static_cast<std::size_t>(msg.peer)];
+            ksan::SanitizeConfig cfg;
+            cfg.regions.push_back(
+                ksan::region_of(peer.src.data(), static_cast<std::size_t>(sender.sources())));
+            cfg.regions.push_back(ksan::region_of(msg.send_slots.data(), msg.send_slots.size()));
+            cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
+            reports.push_back(
+                ksan::sanitize_launch(spec, pack, std::move(cfg), "halo-pack" + suffix));
+          });
 
-        // Unpack: reads inside the wire, writes *only* into this message's
-        // ghost span — declaring exactly that span turns any stray write
-        // (owned sites, another message's ghosts) into a reported OOB.
-        HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(wire.data()),
-                                    .field = f.src.data(),
-                                    .ghost_base = msg.ghost_base,
-                                    .count = msg.count(),
-                                    .inv_scale = 1.0 / scale};
-        ksan::SanitizeConfig unpack_cfg;
-        unpack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
-        unpack_cfg.regions.push_back(ksan::region_of(f.src.data() + msg.ghost_base,
-                                                     static_cast<std::size_t>(msg.count())));
-        reports.push_back(
-            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, unpack.traits()),
-                                  unpack, std::move(unpack_cfg), "halo-unpack" + suffix));
-      });
+      std::vector<std::byte>& rx = f.rx[mi];
+      const int deliveries = via_copy && mi == 0 ? 2 : 1;
+      for (int delivery = 0; delivery < deliveries; ++delivery) {
+        if (via_copy) rx.assign(wire.begin(), wire.end());
+        const std::vector<std::byte>& payload = via_copy ? rx : wire;
+        with_unpack_kernel(
+            plan, sh, mi, sw, pack_local_size, payload.data(), scale,
+            [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
+              ksan::SanitizeConfig cfg;
+              cfg.regions.push_back(ksan::region_of(payload.data(), payload.size()));
+              cfg.regions.push_back(ksan::region_of(f.src.data() + msg.ghost_base,
+                                                    static_cast<std::size_t>(msg.count())));
+              reports.push_back(ksan::sanitize_launch(
+                  spec, unpack, std::move(cfg),
+                  "halo-unpack" + suffix + (delivery > 0 ? " retry" : "")));
+            });
+      }
     }
   }
   return reports;
 }
 
+}  // namespace
+
+std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_halo(
+    DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
+    const WireFormat& wire_fmt) const {
+  return sanitize_messages(problem, grid, pack_local_size, wire_fmt.spinor, /*via_copy=*/false);
+}
+
 std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_exchange(
     DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
     const WireFormat& wire_fmt) const {
-  const Partitioner part(problem.geom(), grid, problem.target_parity());
-  std::vector<ShardFields> fields;
-  fields.reserve(part.shards().size());
-  for (const Shard& sh : part.shards()) fields.push_back(build_fields(problem, sh));
-
-  const SpinorWire sw = wire_fmt.spinor;
-  std::vector<ksan::SanitizerReport> reports;
-  for (const Shard& sh : part.shards()) {
-    ShardFields& f = fields[static_cast<std::size_t>(sh.rank)];
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      const Shard& peer_sh = part.shard(msg.peer);
-      ShardFields& peer = fields[static_cast<std::size_t>(msg.peer)];
-      const std::string suffix = " r" + std::to_string(msg.peer) + "->r" +
-                                 std::to_string(sh.rank) + " dim" + std::to_string(msg.dim) +
-                                 (msg.side == 0 ? "-" : "+");
-      const double scale = message_scale(sw, peer.src.data(), msg);
-
-      with_wire_element(sw, [&](auto tag) {
-        using W = decltype(tag);
-        // Pack into the sender-side wire buffer (same contract as
-        // sanitize_halo), in the requested wire format.
-        std::vector<std::byte> wire(static_cast<std::size_t>(msg.wire_bytes(sw)));
-        HaloPackKernelT<W> pack{.src = peer.src.data(),
-                                .slots = msg.send_slots.data(),
-                                .wire = reinterpret_cast<W*>(wire.data()),
-                                .count = msg.count(),
-                                .scale = scale};
-        ksan::SanitizeConfig pack_cfg;
-        pack_cfg.regions.push_back(
-            ksan::region_of(peer.src.data(), static_cast<std::size_t>(peer_sh.sources())));
-        pack_cfg.regions.push_back(
-            ksan::region_of(msg.send_slots.data(), msg.send_slots.size()));
-        pack_cfg.regions.push_back(ksan::region_of(wire.data(), wire.size()));
-        reports.push_back(
-            ksan::sanitize_launch(halo_spec(msg.count(), pack_local_size, pack.traits()),
-                                  pack, std::move(pack_cfg), "halo-pack" + suffix));
-
-        // Hardened data flow: the delivery lands on a receiver-side copy (the
-        // sender buffer stays pristine for retransmission) and the unpack
-        // reads the copy.  The first message of each shard is redelivered and
-        // re-unpacked in a *separate* launch — a retransmission whose repeated
-        // ghost writes are ordered by the launch boundary, hence clean.
-        std::vector<std::byte> rx = wire;
-        const int deliveries = (mi == 0) ? 2 : 1;
-        for (int delivery = 0; delivery < deliveries; ++delivery) {
-          rx.assign(wire.begin(), wire.end());
-          HaloUnpackKernelT<W> unpack{.wire = reinterpret_cast<const W*>(rx.data()),
-                                      .field = f.src.data(),
-                                      .ghost_base = msg.ghost_base,
-                                      .count = msg.count(),
-                                      .inv_scale = 1.0 / scale};
-          ksan::SanitizeConfig unpack_cfg;
-          unpack_cfg.regions.push_back(ksan::region_of(rx.data(), rx.size()));
-          unpack_cfg.regions.push_back(ksan::region_of(
-              f.src.data() + msg.ghost_base, static_cast<std::size_t>(msg.count())));
-          reports.push_back(ksan::sanitize_launch(
-              halo_spec(msg.count(), pack_local_size, unpack.traits()), unpack,
-              std::move(unpack_cfg),
-              "halo-unpack" + suffix + (delivery > 0 ? " retry" : "")));
-        }
-      });
-    }
-  }
-  return reports;
+  return sanitize_messages(problem, grid, pack_local_size, wire_fmt.spinor, /*via_copy=*/true);
 }
 
 }  // namespace milc::multidev

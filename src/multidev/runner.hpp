@@ -37,6 +37,8 @@
 // so the fault-free timeline and output stay bit-for-bit identical.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,7 @@
 #include "ksan/sanitizer.hpp"
 #include "minisycl/queue.hpp"
 #include "multidev/partition.hpp"
+#include "multidev/shard_plan.hpp"
 
 namespace milc::multidev {
 
@@ -237,6 +240,14 @@ class MultiDeviceRunner {
   /// existing benches exactly.
   [[nodiscard]] MultiDevResult run(DslashProblem& problem, const MultiDevRequest& mreq) const;
 
+  /// run() over the resident plan in `plan` (shard_plan.hpp): the slot is
+  /// (re)built for every grid an attempt runs on and, on return, holds the
+  /// plan of the grid the run finished on (MultiDevResult::final_grid) —
+  /// a caller that keeps the slot pays for partitioning and link gathering
+  /// only when the grid changes.  Results are identical to run().
+  [[nodiscard]] MultiDevResult run(DslashProblem& problem, const MultiDevRequest& mreq,
+                                   std::unique_ptr<ShardPlan>& plan) const;
+
   /// Autotuned profiled run: sweeps the paper pool of preferred local sizes
   /// for mreq.req's strategy/order on mreq's grid (each shard still coerces
   /// through pick_local_size), consulting the installed tune::TuneSession
@@ -257,6 +268,12 @@ class MultiDeviceRunner {
   void run_functional(DslashProblem& problem, const PartitionGrid& grid, Strategy s,
                       IndexOrder o, int preferred_local_size,
                       const WireFormat& wire = {}) const;
+
+  /// run_functional over a resident plan built for `problem` (throws
+  /// std::invalid_argument otherwise) on the plan's grid: only the per-apply
+  /// work runs — bit-for-bit the one-shot overload's output.
+  void run_functional(DslashProblem& problem, ShardPlan& plan, Strategy s, IndexOrder o,
+                      int preferred_local_size, const WireFormat& wire = {}) const;
 
   /// Serial per-shard evaluation in dslash_reference's exact loop order,
   /// through the same partition/halo data — bit-for-bit equal to the global
@@ -289,13 +306,14 @@ class MultiDeviceRunner {
       DslashProblem& problem, const MultiDevRequest& mreq) const;
 
  private:
-  [[nodiscard]] MultiDevResult run_plain(DslashProblem& problem,
-                                         const MultiDevRequest& mreq) const;
+  [[nodiscard]] MultiDevResult run_plain(DslashProblem& problem, const MultiDevRequest& mreq,
+                                         std::unique_ptr<ShardPlan>& plan) const;
   [[nodiscard]] MultiDevResult run_hardened(DslashProblem& problem,
-                                            const MultiDevRequest& mreq) const;
-  bool run_attempt(DslashProblem& problem, const MultiDevRequest& mreq,
-                   const PartitionGrid& grid, MultiDevResult& res,
-                   std::string& fail_reason) const;
+                                            const MultiDevRequest& mreq,
+                                            std::unique_ptr<ShardPlan>& plan) const;
+  /// One hardened attempt on the plan's grid.
+  bool run_attempt(DslashProblem& problem, const MultiDevRequest& mreq, ShardPlan& plan,
+                   MultiDevResult& res, std::string& fail_reason) const;
 
   gpusim::MachineModel machine_;
   gpusim::Calibration cal_;
@@ -316,7 +334,7 @@ class MultiDeviceRunner {
 
 /// Bytes a spare or rejoining device must receive to adopt rank `rank` of
 /// the partitioner's grid: the gathered gauge slab plus the extended source
-/// spinor (owned + ghost slots) — the state build_fields materialises.
+/// spinor (owned + ghost slots) — the shard state a ShardPlan holds.
 /// The fp64/recon-18 overload is the historical exact count; the wire-format
 /// overload prices the gauge slab at the recon scheme's encoded link size
 /// and the spinor at the spinor format's site size (docs/WIRE.md §3).
@@ -332,5 +350,30 @@ class MultiDeviceRunner {
 /// multiple — the executor runs the partial last warp correctly.
 /// Throws std::invalid_argument only for an empty range.
 [[nodiscard]] int pick_local_size(Strategy s, IndexOrder o, int preferred, std::int64_t sites);
+
+namespace detail {
+
+/// Test seam for the plan's NaN re-poison rule: while an instance is alive
+/// on the calling thread, run_functional skips the unpack of inbound message
+/// `mi` of shard `rank`, leaving that message's ghost slots as load() left
+/// them.  Mutation tests only; nothing else installs it.
+class ScopedSkipUnpack {
+ public:
+  ScopedSkipUnpack(int rank, std::size_t mi);
+  ~ScopedSkipUnpack();
+  ScopedSkipUnpack(const ScopedSkipUnpack&) = delete;
+  ScopedSkipUnpack& operator=(const ScopedSkipUnpack&) = delete;
+
+ private:
+  int rank_;
+  std::size_t mi_;
+  const ScopedSkipUnpack* prev_;
+  friend bool skip_unpack(int rank, std::size_t mi);
+};
+
+/// True when an installed ScopedSkipUnpack names this message.
+[[nodiscard]] bool skip_unpack(int rank, std::size_t mi);
+
+}  // namespace detail
 
 }  // namespace milc::multidev

@@ -116,13 +116,13 @@ ShardedCgSolver::ShardedCgSolver(int L, std::uint64_t gauge_seed, double mass,
                                  PartitionGrid grid, ShardedCgConfig cfg)
     : ShardedCgSolver(Coords{L, L, L, L}, gauge_seed, mass, grid, std::move(cfg)) {}
 
-bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardedCgResult* res,
-                                 const WireFormat& wire) {
+bool ShardedCgSolver::run_dslash(DslashProblem& problem, std::unique_ptr<ShardPlan>& plan,
+                                 ShardedCgResult* res, const WireFormat& wire) {
   if (faultsim::Injector::current() == nullptr) {
     // Fault-free: the plain functional protocol, bit-for-bit the exactness-
     // tested path (and bit-for-bit what the identity test's lambda runs).
-    runner_.run_functional(problem, grid_, cfg_.strategy, cfg_.order, cfg_.local_size,
-                           wire);
+    runner_.run_functional(problem, resident_plan(plan, problem, grid_), cfg_.strategy,
+                           cfg_.order, cfg_.local_size, wire);
     return true;
   }
   MultiDevRequest mreq;
@@ -137,7 +137,7 @@ bool ShardedCgSolver::run_dslash(DslashProblem& problem, ShardedCgResult* res,
   mreq.mode = minisycl::ExecMode::functional;
   mreq.rejoin_grid = rejoin_grid_;
   mreq.rejoin_what = rejoin_what_;
-  const MultiDevResult mres = runner_.run(problem, mreq);
+  const MultiDevResult mres = runner_.run(problem, mreq, plan);
   if (res != nullptr) {
     res->recovery_us += mres.recovery_us;
     res->spares_consumed += mres.spares_consumed;
@@ -184,9 +184,9 @@ bool ShardedCgSolver::apply_raw(const ColorField& in, ColorField& out, ShardedCg
                                 const WireFormat& wire) {
   // out = m^2 in - D_eo D_oe in, both hops through the sharded halo protocol.
   problem_o_.b() = in;
-  if (!run_dslash(problem_o_, res, wire)) return false;
+  if (!run_dslash(problem_o_, plan_o_, res, wire)) return false;
   problem_e_.b() = problem_o_.c();
-  if (!run_dslash(problem_e_, res, wire)) return false;
+  if (!run_dslash(problem_e_, plan_e_, res, wire)) return false;
   out = in;
   scale(mass_ * mass_, out);
   axpy(-1.0, problem_e_.c(), out);

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,11 @@ class ShardedCgSolver {
   [[nodiscard]] const ShardedCgConfig& config() const { return cfg_; }
   /// The current grid (differs from the constructor's after a failover).
   [[nodiscard]] const PartitionGrid& grid() const { return grid_; }
+  /// The resident shard plan of the hop targeting `target` parity (null
+  /// before the first apply) — for tests and diagnostics.
+  [[nodiscard]] const ShardPlan* plan(Parity target) const {
+    return (target == Parity::Odd ? plan_o_ : plan_e_).get();
+  }
 
   /// Solve A x = b (both even-parity).  `x` is the initial guess and holds
   /// the solution on return.  Never throws for injected fault kinds.
@@ -192,10 +198,11 @@ class ShardedCgSolver {
 
  private:
   /// Run one Dslash (problem.c() = D problem.b()) through the sharded path
-  /// on the given halo wire format; returns false when the hardened runner
-  /// exhausted recovery.  Adopts the post-failover grid and flags
-  /// `failover_seen_`.
-  bool run_dslash(DslashProblem& problem, ShardedCgResult* res, const WireFormat& wire);
+  /// on the given halo wire format, over the problem's resident plan;
+  /// returns false when the hardened runner exhausted recovery.  Adopts the
+  /// post-failover grid and flags `failover_seen_`.
+  bool run_dslash(DslashProblem& problem, std::unique_ptr<ShardPlan>& plan,
+                  ShardedCgResult* res, const WireFormat& wire);
   bool apply_raw(const ColorField& in, ColorField& out, ShardedCgResult* res,
                  const WireFormat& wire);
 
@@ -204,6 +211,11 @@ class ShardedCgSolver {
   ShardedCgConfig cfg_;
   DslashProblem problem_o_;  ///< target Odd:  c = D_oe b (b even)
   DslashProblem problem_e_;  ///< target Even: c = D_eo b (b odd)
+  /// One resident shard plan per parity on the current grid, built on the
+  /// first apply and rebuilt only when a failover, shrink or rejoin changes
+  /// the grid (a hot spare adopts a shard in place: same grid, same plan).
+  std::unique_ptr<ShardPlan> plan_o_;
+  std::unique_ptr<ShardPlan> plan_e_;
   MultiDeviceRunner runner_;
   bool failover_seen_ = false;
   /// Live-rejoin target threaded into every hardened apply: the grid the

@@ -605,6 +605,62 @@ TEST(MultidevChaos, ElasticRecoveryReplaysBitForBitFromItsSeed) {
   ASSERT_EQ(r1.faults.size(), r2.faults.size());
 }
 
+// --- the resident plan slot across recovery ----------------------------------
+
+TEST(MultidevChaos, ResidentPlanFollowsAShrinkAndIsReusedOnTheNewGrid) {
+  // A caller-held plan slot ends every hardened run holding the plan of the
+  // grid the run finished on; the next run on that grid reuses it.
+  const ColorField expected = clean_output(/*seed=*/17);
+  DslashProblem problem(kL, /*seed=*/17);
+  const MultiDeviceRunner runner;
+  MultiDevRequest mreq;
+  mreq.grid = PartitionGrid::along(3, 2);
+  mreq.req = kReq;
+  std::unique_ptr<ShardPlan> slot;
+  FaultPlan plan;
+  plan.seed = 6;
+  plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 0, 1, "device r1 @ 1x1x1x2"});
+  ScopedFaultInjection fi(plan);
+
+  const MultiDevResult shrunk = runner.run(problem, mreq, slot);
+  ASSERT_TRUE(shrunk.recovered);
+  EXPECT_EQ(shrunk.final_grid.label(), "1x1x1x1");
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->grid().label(), "1x1x1x1");
+  EXPECT_EQ(max_abs_diff(expected, problem.c()), 0.0);
+
+  const ShardPlan* kept = slot.get();
+  mreq.grid = shrunk.final_grid;
+  problem.c().zero();
+  const MultiDevResult again = runner.run(problem, mreq, slot);
+  ASSERT_TRUE(again.recovered);
+  EXPECT_EQ(slot.get(), kept) << "same grid: the plan is reused, not rebuilt";
+  EXPECT_EQ(max_abs_diff(expected, problem.c()), 0.0);
+}
+
+TEST(MultidevChaos, HotSpareAdoptionKeepsTheResidentPlan) {
+  const ColorField expected = clean_output(/*seed=*/17);
+  DslashProblem problem(kL, /*seed=*/17);
+  const MultiDeviceRunner runner;
+  MultiDevRequest mreq;
+  mreq.grid = PartitionGrid::along(3, 2);
+  mreq.req = kReq;
+  mreq.topo.spares.devices_per_node = 1;
+  std::unique_ptr<ShardPlan> slot;
+  const ShardPlan* built = &resident_plan(slot, problem, mreq.grid);
+  FaultPlan plan;
+  plan.seed = 6;
+  plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 0, 1, "device r1 @ 1x1x1x2"});
+  ScopedFaultInjection fi(plan);
+
+  const MultiDevResult res = runner.run(problem, mreq, slot);
+  ASSERT_TRUE(res.recovered);
+  EXPECT_EQ(res.spares_consumed, 1);
+  EXPECT_EQ(res.final_grid.label(), "1x1x1x2");
+  EXPECT_EQ(slot.get(), built) << "re-replication keeps the grid and the plan";
+  EXPECT_EQ(max_abs_diff(expected, problem.c()), 0.0);
+}
+
 TEST(MultidevChaos, FallbackGridHalvesTheLowestSplitDimension) {
   EXPECT_EQ(fallback_grid(PartitionGrid{.devices = {2, 2, 2, 1}}).label(), "1x2x2x1");
   EXPECT_EQ(fallback_grid(PartitionGrid{.devices = {1, 1, 1, 4}}).label(), "1x1x1x2");

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "multidev/sharded_cg.hpp"
@@ -400,6 +402,173 @@ TEST(ShardedCg, AsyncCheckpointDeviceLossRestoresBitForBit) {
       << "the restore must have had an audited snapshot to land on";
   EXPECT_EQ(res.final_grid.total(), 1);
   EXPECT_EQ(max_abs_diff(x, x_clean), 0.0);
+}
+
+// --- recovery on the resident shard plans ------------------------------------
+//
+// Every recovery tier runs over the solver's resident plans, which survive
+// from apply to apply and are rebuilt only when the grid changes.  These
+// scenarios pin the complete outcome — solution FNV, every counter of the
+// ShardedCgResult, the simulated recovery time and a clean dsan verdict — to
+// the values the pre-plan implementation (which rebuilt all shard state on
+// every apply) produced, so reuse provably changes nothing.
+
+std::uint64_t field_fnv(const ColorField& f) {
+  const auto* p = reinterpret_cast<const unsigned char*>(f.data());
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < f.bytes(); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct RecoveryCase {
+  const char* name;
+  ShardedCgConfig cfg;
+  FaultPlan plan;
+  // Expected outcome.
+  std::uint64_t fnv;
+  int iterations, applies, restarts, recomputes, checkpoints, failovers, spares, rejoins,
+      capacity;
+  std::int64_t rereplicated_bytes;
+  double rereplication_us, recovery_us;
+  std::size_t faults;
+  const char* final_grid;
+  double true_relative_residual;
+};
+
+std::vector<RecoveryCase> recovery_cases() {
+  // All four converge to the clean solve's solution bits.
+  constexpr std::uint64_t kCleanFnv = 0xc34a8ec254787163ULL;
+  constexpr double kTrueRes = 0x1.56399d6b5d8eap-27;
+  std::vector<RecoveryCase> cases;
+  RecoveryCase storm{"wire_storm", quick_config(), {}, kCleanFnv, 144, 163, 0, 0, 17, 0,
+                     0, 0, 0, 0, 0.0, 0x1.0ccp+11, 98, "1x1x1x2", kTrueRes};
+  storm.plan.seed = 2024;
+  storm.plan.p_msg_drop = 0.02;
+  storm.plan.p_msg_corrupt = 0.02;
+  storm.plan.p_msg_delay = 0.05;
+  cases.push_back(storm);
+
+  RecoveryCase spare{"hot_spare", quick_config(), {}, kCleanFnv, 144, 165, 1, 0, 17, 1, 1,
+                     0, 0, 460800, 0x1.b7ced916872bp+1, 0x1.b7ced916872bp+1, 1, "1x1x1x2",
+                     kTrueRes};
+  spare.cfg.topo.spares.devices_per_node = 1;
+  spare.plan.seed = 5;
+  spare.plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 40, 1, "device r1"});
+  cases.push_back(spare);
+
+  RecoveryCase heal{"kill_heal", quick_config(), {}, kCleanFnv, 144, 166, 2, 0, 17, 2, 0,
+                    1, 1, 460800, 0x1.b7ced916872bp+1, 0x1.b7ced916872bp+1, 2, "1x1x1x2",
+                    kTrueRes};
+  heal.plan.seed = 5;
+  heal.plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 40, 1, "device r1"});
+  heal.plan.schedule.push_back(ScheduledFault{FaultKind::heal, 2, 1, "heal/device r1"});
+  cases.push_back(heal);
+
+  RecoveryCase node{"node_loss", quick_config(), {}, kCleanFnv, 144, 169, 1, 0, 17, 1, 0,
+                    0, 0, 0, 0.0, 0.0, 1, "1x1x1x1", kTrueRes};
+  node.cfg.topo = gpusim::cluster(2, 1);
+  node.plan.seed = 5;
+  node.plan.schedule.push_back(ScheduledFault{FaultKind::node_loss, 30, 1, "node n1"});
+  cases.push_back(node);
+  return cases;
+}
+
+class ResidentPlanRecovery : public ::testing::TestWithParam<RecoveryCase> {};
+
+TEST_P(ResidentPlanRecovery, ReproducesTheRebuildEveryApplyOutcome) {
+  const RecoveryCase& rc = GetParam();
+  ShardedCgSolver solver(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2), rc.cfg);
+  const ColorField b = make_source(solver.geom());
+  ColorField x(solver.geom(), Parity::Even);
+  ShardedCgResult res;
+  std::vector<ksan::SanitizerReport> reports;
+  {
+    ScopedFaultInjection fi(rc.plan);
+    reports = solver.dsan_check(b, x, &res);
+  }
+  for (const ksan::SanitizerReport& rep : reports) EXPECT_TRUE(rep.clean()) << rep.kernel;
+
+  ASSERT_TRUE(res.cg.converged) << res.summary();
+  EXPECT_TRUE(res.recovered_all);
+  EXPECT_EQ(field_fnv(x), rc.fnv);
+  EXPECT_EQ(res.cg.iterations, rc.iterations);
+  EXPECT_EQ(res.cg.true_relative_residual, rc.true_relative_residual);
+  EXPECT_EQ(res.applies, rc.applies);
+  EXPECT_EQ(res.restarts, rc.restarts);
+  EXPECT_EQ(res.recomputes, rc.recomputes);
+  EXPECT_EQ(res.checkpoints_taken, rc.checkpoints);
+  EXPECT_EQ(res.failovers_observed, rc.failovers);
+  EXPECT_EQ(res.spares_consumed, rc.spares);
+  EXPECT_EQ(res.rejoins, rc.rejoins);
+  EXPECT_EQ(res.capacity_restored, rc.capacity);
+  EXPECT_EQ(res.rereplicated_bytes, rc.rereplicated_bytes);
+  EXPECT_EQ(res.rereplication_us, rc.rereplication_us);
+  EXPECT_EQ(res.recovery_us, rc.recovery_us);
+  EXPECT_EQ(res.faults.size(), rc.faults);
+  EXPECT_EQ(res.final_grid.label(), rc.final_grid);
+
+  // Both hops' resident plans follow the solver onto its final grid...
+  for (const Parity target : {Parity::Odd, Parity::Even}) {
+    const ShardPlan* plan = solver.plan(target);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(plan->grid().label(), rc.final_grid);
+  }
+  // ...and keep applying exactly: bit for bit the apply of a solver built on
+  // that grid, and the reference operator up to kernel summation order.
+  ColorField in(solver.geom(), Parity::Even);
+  in.fill_random(8);
+  ColorField out(solver.geom(), Parity::Even);
+  solver.apply_normal(in, out);
+  const ShardPlan* kept = solver.plan(Parity::Even);
+  PartitionGrid final_grid;
+  ASSERT_TRUE(PartitionGrid::from_label(rc.final_grid, final_grid));
+  ShardedCgSolver fresh(kDims, kGaugeSeed, kMass, final_grid, rc.cfg);
+  ColorField expected(solver.geom(), Parity::Even);
+  fresh.apply_normal(in, expected);
+  EXPECT_EQ(max_abs_diff(out, expected), 0.0);
+  ColorField ref(solver.geom(), Parity::Even);
+  solver.apply_reference(in, ref);
+  EXPECT_LT(max_abs_diff(out, ref), 1e-9);
+  EXPECT_EQ(solver.plan(Parity::Even), kept) << "a fault-free apply never rebuilds";
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, ResidentPlanRecovery, ::testing::ValuesIn(recovery_cases()),
+                         [](const auto& param_info) { return std::string(param_info.param.name); });
+
+TEST(ShardedCg, HotSpareAdoptionKeepsTheResidentPlans) {
+  // Re-replication onto a spare keeps the grid, so it keeps the plans: the
+  // pointers the first (fault-free) apply built survive the whole solve.
+  ShardedCgConfig cfg = quick_config();
+  cfg.topo.spares.devices_per_node = 1;
+  ShardedCgSolver solver(kDims, kGaugeSeed, kMass, PartitionGrid::along(3, 2), cfg);
+  ColorField in(solver.geom(), Parity::Even);
+  in.fill_random(8);
+  ColorField out(solver.geom(), Parity::Even);
+  solver.apply_normal(in, out);
+  const ShardPlan* odd = solver.plan(Parity::Odd);
+  const ShardPlan* even = solver.plan(Parity::Even);
+  ASSERT_NE(odd, nullptr);
+  ASSERT_NE(even, nullptr);
+
+  const ColorField b = make_source(solver.geom());
+  ColorField x(solver.geom(), Parity::Even);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.schedule.push_back(ScheduledFault{FaultKind::device_loss, 40, 1, "device r1"});
+  ShardedCgResult res;
+  {
+    ScopedFaultInjection fi(plan);
+    res = solver.solve(b, x);
+  }
+  ASSERT_TRUE(res.cg.converged) << res.summary();
+  EXPECT_EQ(res.spares_consumed, 1);
+  EXPECT_EQ(res.final_grid.label(), "1x1x1x2");
+  EXPECT_EQ(field_fnv(x), 0xc34a8ec254787163ULL);
+  EXPECT_EQ(solver.plan(Parity::Odd), odd);
+  EXPECT_EQ(solver.plan(Parity::Even), even);
 }
 
 TEST(ShardedCg, ZeroSourceShortCircuits) {
