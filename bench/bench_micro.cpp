@@ -1,20 +1,24 @@
 // bench_micro — host-side microbenchmarks (experiment M1) of the building
 // blocks: complex arithmetic (both libraries), SU(3) kernels, gauge
 // pack/reconstruct, the serial reference Dslash, the simulator's own
-// cache/coalescer throughput (which bounds how fast the benches run), and
-// the sharded Dslash's set-up versus per-apply host cost.
+// cache/coalescer throughput (which bounds how fast the benches run), the
+// functional executor serial and across threads, and the sharded Dslash's
+// set-up versus per-apply host cost.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <random>
 #include <vector>
 
 #include "complexlib/syclcplx.hpp"
 #include "core/dslash_ref.hpp"
 #include "core/problem.hpp"
+#include "core/runner.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/coalescer.hpp"
 #include "gpusim/machine.hpp"
 #include "gpusim/pipeline.hpp"
+#include "minisycl/executor.hpp"
 #include "minisycl/replay.hpp"
 #include "multidev/runner.hpp"
 #include "su3/random_su3.hpp"
@@ -100,6 +104,23 @@ void BM_ReferenceDslash(benchmark::State& state) {
       static_cast<double>(state.iterations()) * p.flops() * 1e-9, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReferenceDslash)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// One functional 3LP-1 k-major launch on a single device at 12^4.  Arg 0:
+/// pinned to one block (the serial executor); Arg 1: the default plan, which
+/// splits the launch's 162 work-groups across the host's threads.
+void BM_FunctionalDslash(benchmark::State& state) {
+  milc::DslashProblem p(12, 5);
+  const milc::DslashRunner runner;
+  std::optional<minisycl::detail::PinFunctionalPlan> serial;
+  if (state.range(0) == 0) serial.emplace(minisycl::detail::FunctionalPlan{1});
+  for (auto _ : state) {
+    runner.run_functional(p, milc::Strategy::LP3_1, milc::IndexOrder::kMajor, 768);
+    benchmark::DoNotOptimize(p.c().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * p.sites());
+}
+BENCHMARK(BM_FunctionalDslash)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The sharded Dslash of the `solve` workload: 12^4 on a 1x1x2x2 grid.
 const milc::multidev::PartitionGrid kSolveGrid{.devices = {1, 1, 2, 2}};

@@ -65,6 +65,12 @@ std::vector<IndexOrder> orders_of(Strategy s) {
   return {};
 }
 
+// Invariant: every work-item that touches one output location lies in one
+// work-group.  For 3LP that is all 12 items of a site in k-major order and
+// the 4 k-items of an (s, i) row in i-major order; 3LP-2/3LP-3 add into
+// C(s, i) atomically, and the functional executor runs groups on several
+// host threads with bit-identical output only because no target spans two
+// groups (docs/SIMULATOR.md §1 "Functional execution across groups").
 int local_size_multiple(Strategy s, IndexOrder o, int warp_size) {
   int algo = 1;
   switch (s) {

@@ -23,7 +23,6 @@
 // trap handler.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -243,7 +242,7 @@ template <minisycl::PhasedKernel Kernel>
 [[nodiscard]] SanitizerReport sanitize_launch(const minisycl::LaunchSpec& spec,
                                               const Kernel& kernel, SanitizeConfig cfg = {},
                                               std::string name = {}) {
-  assert(spec.local_size > 0 && spec.global_size % spec.local_size == 0);
+  minisycl::validate_launch(spec);
   if (name.empty()) name = spec.traits.name;
   LaunchContext ctx(spec, std::move(name), std::move(cfg));
   const std::int64_t groups = spec.global_size / spec.local_size;

@@ -30,6 +30,7 @@ enum class errc : int {
   kernel_launch,      ///< the kernel could not be launched
   device_fault,       ///< transient device-side error (ECC event, sticky until retried)
   watchdog_timeout,   ///< kernel exceeded the simulated execution watchdog
+  nd_range,           ///< the launch's nd_range / phase / local-memory request is malformed
 };
 
 [[nodiscard]] inline const char* errc_name(errc c) {
@@ -42,6 +43,7 @@ enum class errc : int {
     case errc::kernel_launch: return "kernel_launch";
     case errc::device_fault: return "device_fault";
     case errc::watchdog_timeout: return "watchdog_timeout";
+    case errc::nd_range: return "nd_range";
   }
   return "unknown";
 }

@@ -2,7 +2,9 @@
 //
 // Two modes:
 //  * execute_functional: plain host loops, FastLane, no simulation — used by
-//    correctness tests and the examples.
+//    correctness tests, the solvers and the examples.  A large launch splits
+//    its work-groups into contiguous blocks that run on several host threads
+//    (docs/SIMULATOR.md §1 "Functional execution across groups").
 //  * execute_profiled: wave-scheduled, warp-granular execution with
 //    TraceLane.  Work-groups are assigned round-robin to the machine's SMs
 //    (per-SM L1), resident groups of a wave interleave their warps
@@ -20,12 +22,15 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gpusim/machine.hpp"
 #include "gpusim/occupancy.hpp"
 #include "gpusim/timing.hpp"
+#include "minisycl/exception.hpp"
 #include "minisycl/lane.hpp"
 #include "minisycl/replay.hpp"
 #include "minisycl/traits.hpp"
@@ -59,20 +64,124 @@ concept PhasedKernel = requires(const K& k, FastLane& f, TraceLane& t) {
   k(t, 0);
 };
 
-/// Correctness-only execution.
+/// Throw errc::nd_range unless `spec` is a launch every execution mode can
+/// run: local_size >= 1, a non-negative global size that is a multiple of
+/// it, num_phases >= 1 and shared_bytes >= 0.  Checked in every build type.
+inline void validate_launch(const LaunchSpec& spec) {
+  const auto fail = [&spec](const std::string& why) {
+    throw exception(errc::nd_range, "nd_range: " + why + " (kernel '" + spec.traits.name + "')");
+  };
+  if (spec.local_size < 1) {
+    fail("local size " + std::to_string(spec.local_size) + " is below 1");
+  }
+  if (spec.global_size < 0 || spec.global_size % spec.local_size != 0) {
+    fail("global size " + std::to_string(spec.global_size) +
+         " is not a non-negative multiple of local size " + std::to_string(spec.local_size));
+  }
+  if (spec.num_phases < 1) {
+    fail("num_phases " + std::to_string(spec.num_phases) + " is below 1");
+  }
+  if (spec.shared_bytes < 0) {
+    fail("shared_bytes " + std::to_string(spec.shared_bytes) + " is negative");
+  }
+}
+
+namespace detail {
+
+/// How a functional launch spreads its work-groups over host threads.
+/// Production launches use functional_plan(); tests pin it.
+struct FunctionalPlan {
+  int blocks = 1;  ///< contiguous blocks of groups, one thread each; 1 = serial on the caller
+};
+
+/// Launches below this many work-items x phases run serially on the caller:
+/// below it, spawning and joining the threads costs more than the groups.
+inline constexpr std::int64_t kFunctionalParallelCutoff = 32768;
+
+/// While it lives, every functional launch the constructing thread makes
+/// runs with `plan`, whatever its size (tests compare whole solves).
+class PinFunctionalPlan {
+ public:
+  explicit PinFunctionalPlan(FunctionalPlan plan) : prev_(pinned_blocks()) {
+    pinned_blocks() = plan.blocks;
+  }
+  ~PinFunctionalPlan() { pinned_blocks() = prev_; }
+  PinFunctionalPlan(const PinFunctionalPlan&) = delete;
+  PinFunctionalPlan& operator=(const PinFunctionalPlan&) = delete;
+
+  /// The calling thread's pinned block count; 0 when nothing is pinned.
+  static int& pinned_blocks() {
+    thread_local int blocks = 0;
+    return blocks;
+  }
+
+ private:
+  int prev_;
+};
+
+/// The pinned plan if there is one; otherwise serial below the cut-off and
+/// one block per hardware thread at or above it.
+[[nodiscard]] inline FunctionalPlan functional_plan(const LaunchSpec& spec) {
+  if (const int pinned = PinFunctionalPlan::pinned_blocks(); pinned > 0) return {pinned};
+  if (spec.global_size * spec.num_phases < kFunctionalParallelCutoff) return {1};
+  static const int threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  return {threads};
+}
+
+/// Run groups [first, last) phase by phase with one local-memory buffer.
+/// Forced inline: called out of line, the serial path ran the many small
+/// launches of the `serve` benchmark about 6% slower than the loop it
+/// replaced.
 template <PhasedKernel Kernel>
-void execute_functional(const LaunchSpec& spec, const Kernel& kernel) {
-  assert(spec.global_size % spec.local_size == 0);
-  const std::int64_t groups = spec.global_size / spec.local_size;
+[[gnu::always_inline]] inline void run_groups(const LaunchSpec& spec, const Kernel& kernel,
+                                              std::int64_t first, std::int64_t last,
+                                              bool concurrent) {
   std::vector<std::byte> local(static_cast<std::size_t>(spec.shared_bytes));
-  for (std::int64_t g = 0; g < groups; ++g) {
+  for (std::int64_t g = first; g < last; ++g) {
     for (int phase = 0; phase < spec.num_phases; ++phase) {
       for (int t = 0; t < spec.local_size; ++t) {
         ItemIds ids{g * spec.local_size + t, t, g, spec.local_size};
-        FastLane lane(ids, local.data());
+        FastLane lane(ids, local.data(), concurrent);
         kernel(lane, phase);
       }
     }
+  }
+}
+
+}  // namespace detail
+
+/// Correctness-only execution.  Work-groups have no ordering between them
+/// and every barrier is inside a group, so a large launch runs contiguous
+/// blocks of groups on separate host threads; block 0 runs on the caller.
+/// Every thread joins before this returns; if blocks threw, the lowest
+/// block's exception (the one a serial run meets first) is rethrown.
+template <PhasedKernel Kernel>
+void execute_functional(const LaunchSpec& spec, const Kernel& kernel) {
+  validate_launch(spec);
+  const std::int64_t groups = spec.global_size / spec.local_size;
+  const std::int64_t blocks = std::clamp<std::int64_t>(detail::functional_plan(spec).blocks, 1,
+                                                       std::max<std::int64_t>(groups, 1));
+  if (blocks == 1) {
+    detail::run_groups(spec, kernel, 0, groups, /*concurrent=*/false);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(blocks));
+  const auto run_block = [&](std::int64_t b) {
+    try {
+      detail::run_groups(spec, kernel, groups * b / blocks, groups * (b + 1) / blocks,
+                         /*concurrent=*/true);
+    } catch (...) {
+      errors[static_cast<std::size_t>(b)] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(blocks - 1));
+    for (std::int64_t b = 1; b < blocks; ++b) threads.emplace_back(run_block, b);
+    run_block(0);
+  }  // joins
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 
@@ -85,6 +194,7 @@ gpusim::KernelStats execute_profiled_with(const gpusim::MachineModel& m,
                                           const gpusim::Calibration& cal,
                                           const LaunchSpec& spec, const Kernel& kernel,
                                           std::string stats_name, ReplayPlan plan) {
+  validate_launch(spec);
   gpusim::LaunchConfig cfg;
   cfg.global_size = spec.global_size;
   cfg.local_size = spec.local_size;

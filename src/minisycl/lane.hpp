@@ -15,6 +15,7 @@
 // like predicated-off SIMT lanes.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -49,10 +50,12 @@ struct ItemIds {
   std::int32_t local_range = 0;
 };
 
-/// Fast path: executes, records nothing.
+/// Fast path: executes, records nothing.  `concurrent` says other
+/// work-groups of the launch run at the same time on other host threads.
 class FastLane {
  public:
-  FastLane(const ItemIds& ids, std::byte* local_mem) : ids_(ids), local_(local_mem) {}
+  FastLane(const ItemIds& ids, std::byte* local_mem, bool concurrent = false)
+      : ids_(ids), local_(local_mem), concurrent_(concurrent) {}
 
   [[nodiscard]] std::int64_t global_id() const { return ids_.global_id; }
   [[nodiscard]] int local_id() const { return ids_.local_id; }
@@ -68,10 +71,17 @@ class FastLane {
     if (!masked_) *p = v;
   }
   /// Relaxed-order atomic add (the only atomic the kernels use).  Execution
-  /// within a work-group is serialised by the executor, so a plain add has
-  /// identical semantics to sycl::atomic_ref<..., memory_order::relaxed>.
+  /// within a work-group is serialised by the executor, so while no other
+  /// group runs a plain add has identical semantics to
+  /// sycl::atomic_ref<..., memory_order::relaxed>; concurrent groups use the
+  /// real relaxed atomic.
   void atomic_add(double* p, double v) {
-    if (!masked_) *p += v;
+    if (masked_) return;
+    if (concurrent_) {
+      std::atomic_ref<double>(*p).fetch_add(v, std::memory_order_relaxed);
+    } else {
+      *p += v;
+    }
   }
 
   template <typename T>
@@ -103,6 +113,7 @@ class FastLane {
  private:
   ItemIds ids_;
   std::byte* local_;
+  bool concurrent_;
   bool masked_ = false;
 };
 

@@ -95,9 +95,12 @@ class queue {
   /// kernel's side effects (the computed fields) are real.  Injected faults
   /// suppress the kernel body (a failed launch has no side effects), mark
   /// `stats.fault`, and buffer an asynchronous error for wait_and_throw().
+  /// A malformed launch (see validate_launch) throws errc::nd_range
+  /// synchronously, before anything is charged or injected.
   template <PhasedKernel Kernel>
   gpusim::KernelStats submit(const LaunchSpec& spec, const Kernel& kernel,
                              std::string name = {}) {
+    validate_launch(spec);
     if (name.empty()) name = spec.traits.name;
 
     faultsim::Injector* inj = faultsim::Injector::current();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "minisycl/device.hpp"
@@ -217,6 +218,70 @@ TEST(Queue, TimelineAccumulates) {
   EXPECT_NEAR(q.sim_time_us(), 2 * q.launch_overhead_us(), 1e-12);
   q.reset_timeline();
   EXPECT_EQ(q.submissions(), 0);
+}
+
+/// Marks out[0]: a launch that validation rejects must never run it.
+struct MarkKernel {
+  static constexpr int kPhases = 1;
+  int* out;
+  template <typename Lane>
+  void operator()(Lane& lane, int) const {
+    lane.store(&out[0], 1);
+  }
+};
+
+/// One malformed field per case; the rest is a valid 128-item launch.
+struct BadRange {
+  const char* what;
+  LaunchSpec spec;
+};
+
+std::vector<BadRange> bad_ranges() {
+  const auto with = [](const char* what, std::int64_t global, int local, int shared, int phases) {
+    return BadRange{what, LaunchSpec{global, local, shared, phases, {}, {}}};
+  };
+  return {with("local size 0", 128, 0, 0, 1),
+          with("negative local size", 128, -32, 0, 1),
+          with("global not a multiple of local", 100, 32, 0, 1),
+          with("negative global size", -64, 32, 0, 1),
+          with("zero phases", 128, 32, 0, 0),
+          with("negative shared bytes", 128, 32, -4, 1)};
+}
+
+template <typename Fn>
+void expect_nd_range_error(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no exception";
+  } catch (const exception& e) {
+    EXPECT_EQ(e.code(), errc::nd_range) << what << ": " << e.what();
+    EXPECT_NE(std::string(e.what()).find("nd_range"), std::string::npos) << what;
+  }
+}
+
+TEST(Queue, MalformedNdRangeThrowsSynchronouslyInBothModes) {
+  for (const ExecMode mode : {ExecMode::functional, ExecMode::profiled}) {
+    queue q(mode);
+    for (const BadRange& c : bad_ranges()) {
+      int out = 0;
+      expect_nd_range_error([&] { (void)q.submit(c.spec, MarkKernel{&out}); }, c.what);
+      EXPECT_EQ(out, 0) << c.what << ": the kernel ran";
+    }
+    EXPECT_EQ(q.submissions(), 0);
+    EXPECT_EQ(q.pending_async_errors(), 0u);
+  }
+}
+
+TEST(Executor, MalformedNdRangeThrowsInEveryExecutor) {
+  const gpusim::MachineModel m = gpusim::a100();
+  const gpusim::Calibration cal = gpusim::default_calibration();
+  for (const BadRange& c : bad_ranges()) {
+    int out = 0;
+    expect_nd_range_error([&] { execute_functional(c.spec, MarkKernel{&out}); }, c.what);
+    expect_nd_range_error(
+        [&] { (void)execute_profiled(m, cal, c.spec, MarkKernel{&out}, "bad"); }, c.what);
+    EXPECT_EQ(out, 0) << c.what << ": the kernel ran";
+  }
 }
 
 TEST(Device, ReportsA100Shape) {
