@@ -110,6 +110,9 @@ struct HaloUnpackKernelT {
 /// The exact fp64 wire — the historical unpack kernel, unchanged.
 using HaloUnpackKernel = HaloUnpackKernelT<dcomplex>;
 
+/// Work-group size of every pack and unpack launch.
+inline constexpr int kHaloLocalSize = 96;
+
 /// Padded global size for a wire of `count` sites at the given local size.
 /// Format-independent: every wire element format keeps one work-item per
 /// complex component.

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -104,10 +103,10 @@ double message_scale(SpinorWire w, const SU3Vector<dcomplex>* src, const HaloMsg
 
 /// Submit one Dslash kernel range on a shard queue; returns the raw stats
 /// (stats.fault names an injected failure — no side effects in that case).
-gpusim::KernelStats submit_dslash_raw(minisycl::queue& q, const DslashArgs<dcomplex>& a,
-                                      std::int64_t src_elems, const RunRequest& req,
-                                      const VariantInfo& vi, int local_size,
-                                      const std::string& name) {
+gpusim::KernelStats submit_dslash(minisycl::queue& q, const DslashArgs<dcomplex>& a,
+                                  std::int64_t src_elems, const RunRequest& req,
+                                  const VariantInfo& vi, int local_size,
+                                  const std::string& name) {
   return with_dslash_kernel(a, req.strategy, req.order, vi.use_syclcplx,
                             [&](const auto& kernel) {
                               using K = std::decay_t<decltype(kernel)>;
@@ -123,20 +122,10 @@ gpusim::KernelStats submit_dslash_raw(minisycl::queue& q, const DslashArgs<dcomp
                             });
 }
 
-/// Submit one Dslash kernel range on a shard queue; returns duration +
-/// launch overhead (0 in functional mode).
-double submit_dslash(minisycl::queue& q, const DslashArgs<dcomplex>& a,
-                     std::int64_t src_elems, const RunRequest& req, const VariantInfo& vi,
-                     int local_size, const std::string& name) {
-  const gpusim::KernelStats st = submit_dslash_raw(q, a, src_elems, req, vi, local_size, name);
-  return st.duration_us + q.launch_overhead_us();
-}
-
-minisycl::LaunchSpec halo_spec(std::int64_t count, int local_size,
-                               const minisycl::KernelTraits& traits) {
+minisycl::LaunchSpec halo_spec(std::int64_t count, const minisycl::KernelTraits& traits) {
   minisycl::LaunchSpec spec;
-  spec.global_size = halo_global_size(count, local_size);
-  spec.local_size = local_size;
+  spec.global_size = halo_global_size(count, kHaloLocalSize);
+  spec.local_size = kHaloLocalSize;
   spec.shared_bytes = 0;
   spec.num_phases = 1;
   spec.traits = traits;
@@ -148,7 +137,7 @@ minisycl::LaunchSpec halo_spec(std::int64_t count, int local_size,
 /// format `sw` — and hand `fn` its launch spec and kernel.
 template <typename Fn>
 decltype(auto) with_pack_kernel(ShardPlan& plan, const Shard& sh, std::size_t mi,
-                                SpinorWire sw, int local_size, double scale, Fn&& fn) {
+                                SpinorWire sw, double scale, Fn&& fn) {
   const HaloMsg& msg = sh.halo[mi];
   ShardFields& sender = plan.fields(msg.peer);
   std::byte* wire = plan.fields(sh.rank).wire[mi].data();
@@ -159,8 +148,7 @@ decltype(auto) with_pack_kernel(ShardPlan& plan, const Shard& sh, std::size_t mi
                                   .wire = reinterpret_cast<W*>(wire),
                                   .count = msg.count(),
                                   .scale = scale};
-    minisycl::LaunchSpec spec =
-        halo_spec(msg.count(), local_size, HaloPackKernelT<W>::traits());
+    minisycl::LaunchSpec spec = halo_spec(msg.count(), HaloPackKernelT<W>::traits());
     spec.regions = pack_regions(pack, plan.shards()[static_cast<std::size_t>(msg.peer)]
                                           .extended_sources());
     return fn(spec, pack);
@@ -172,8 +160,8 @@ decltype(auto) with_pack_kernel(ShardPlan& plan, const Shard& sh, std::size_t mi
 /// copy) into the message's ghost slots, and hand `fn` spec and kernel.
 template <typename Fn>
 decltype(auto) with_unpack_kernel(ShardPlan& plan, const Shard& sh, std::size_t mi,
-                                  SpinorWire sw, int local_size, const std::byte* payload,
-                                  double scale, Fn&& fn) {
+                                  SpinorWire sw, const std::byte* payload, double scale,
+                                  Fn&& fn) {
   const HaloMsg& msg = sh.halo[mi];
   ShardFields& f = plan.fields(sh.rank);
   return with_wire_element(sw, [&](auto tag) {
@@ -183,8 +171,7 @@ decltype(auto) with_unpack_kernel(ShardPlan& plan, const Shard& sh, std::size_t 
                                       .ghost_base = msg.ghost_base,
                                       .count = msg.count(),
                                       .inv_scale = 1.0 / scale};
-    minisycl::LaunchSpec spec =
-        halo_spec(msg.count(), local_size, HaloUnpackKernelT<W>::traits());
+    minisycl::LaunchSpec spec = halo_spec(msg.count(), HaloUnpackKernelT<W>::traits());
     spec.regions = unpack_regions(unpack, sh.extended_sources());
     return fn(spec, unpack);
   });
@@ -306,22 +293,6 @@ std::string unpack_site(int src, int dst) {
   return "halo-unpack r" + std::to_string(src) + "->r" + std::to_string(dst);
 }
 
-/// Install dsan kernel hooks on every shard queue (rank = queue index).  The
-/// hook fires only on the *successful* submission path, so retried failures
-/// never enter the trace; call sites refine the raw Kernel event with the
-/// protocol-accurate site and memory spans via Recorder::annotate.
-void hook_queues_for_dsan(dsan::Recorder* rec,
-                          std::vector<std::unique_ptr<minisycl::queue>>& queues) {
-  if (rec == nullptr) return;
-  for (std::size_t d = 0; d < queues.size(); ++d) {
-    const int rank = static_cast<int>(d);
-    queues[d]->set_kernel_hook(
-        [rec, rank](const std::string& name, const gpusim::KernelStats&) {
-          rec->kernel(rank, name);
-        });
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -409,10 +380,41 @@ MultiDevResult MultiDeviceRunner::run(DslashProblem& problem,
 
 MultiDevResult MultiDeviceRunner::run(DslashProblem& problem, const MultiDevRequest& mreq,
                                       std::unique_ptr<ShardPlan>& plan) const {
-  // With no fault plan installed the pre-existing path runs untouched —
-  // same submissions, bit-for-bit the fault-free timeline.
-  if (faultsim::Injector::current() == nullptr) return run_plain(problem, mreq, plan);
-  return run_hardened(problem, mreq, plan);
+  // One rule for both paths, checked before any fault consult (score_grid's
+  // rule): a grid may use fewer devices than the topology declares — it is
+  // re-packed by effective_topology — but never more.
+  if (mreq.grid.total() > mreq.topo.total_devices()) {
+    throw std::invalid_argument("MultiDeviceRunner: grid needs " +
+                                std::to_string(mreq.grid.total()) +
+                                " devices but the topology has " +
+                                std::to_string(mreq.topo.total_devices()));
+  }
+  if (faultsim::Injector::current() != nullptr) return run_hardened(problem, mreq, plan);
+  if (mreq.grid.total() == 1 && mreq.mode == minisycl::ExecMode::profiled) {
+    // Delegate so single-device numbers reproduce bench_fig6 exactly (the
+    // driver would be bit-identical in values but allocates shard copies at
+    // different addresses, and the run would carry pack/unpack launches a
+    // true single-device run does not have).
+    const DslashRunner single(machine_, cal_);
+    const RunResult rr = single.run(problem, mreq.req);
+    MultiDevResult res;
+    res.label = rr.label + " @ " + mreq.grid.label();
+    res.devices = 1;
+    res.per_iter_us = rr.per_iter_us;
+    res.gflops = rr.gflops;
+    DeviceTimeline t;
+    t.interior_sites = problem.sites();
+    t.interior_us = rr.kernel_us;
+    t.iter_us = rr.per_iter_us;
+    res.per_device.push_back(t);
+    res.final_grid = mreq.grid;
+    res.wire = mreq.wire;
+    return res;
+  }
+  MultiDevResult res;
+  std::string unused;  // a fault-free pass cannot fail
+  (void)drive(problem, mreq, resident_plan(plan, problem, mreq.grid), res, unused);
+  return res;
 }
 
 tune::TuneKey MultiDeviceRunner::tune_key(const DslashProblem& problem,
@@ -476,229 +478,6 @@ std::vector<ksan::SanitizerReport> MultiDeviceRunner::dsan_check(
   return dsan::check_all(sr.rec.trace(), mreq.grid.label());
 }
 
-MultiDevResult MultiDeviceRunner::run_plain(DslashProblem& problem, const MultiDevRequest& mreq,
-                                            std::unique_ptr<ShardPlan>& slot) const {
-  const int ndev = mreq.grid.total();
-  if (ndev == 1) {
-    // Delegate so single-device numbers reproduce bench_fig6 exactly (the
-    // general path would be bit-identical in values but allocates shard
-    // copies at different addresses, and the run would carry pack/unpack
-    // launches a true single-device run does not have).
-    const DslashRunner single(machine_, cal_);
-    const RunResult rr = single.run(problem, mreq.req);
-    MultiDevResult res;
-    res.label = rr.label + " @ " + mreq.grid.label();
-    res.devices = 1;
-    res.per_iter_us = rr.per_iter_us;
-    res.gflops = rr.gflops;
-    DeviceTimeline t;
-    t.interior_sites = problem.sites();
-    t.interior_us = rr.kernel_us;
-    t.iter_us = rr.per_iter_us;
-    res.per_device.push_back(t);
-    res.final_grid = mreq.grid;
-    res.wire = mreq.wire;
-    return res;
-  }
-
-  const bool multi_node = mreq.topo.multi_node();
-  if (multi_node && mreq.topo.total_devices() != ndev) {
-    throw std::invalid_argument("MultiDeviceRunner: topology has " +
-                                std::to_string(mreq.topo.total_devices()) +
-                                " devices but the grid needs " + std::to_string(ndev));
-  }
-  const auto crosses_fabric = [&](int a, int b) {
-    return multi_node && !mreq.topo.same_node(a, b);
-  };
-
-  const VariantInfo& vi = variant_info(mreq.req.variant);
-  ShardPlan& plan = resident_plan(slot, problem, mreq.grid);
-  const std::vector<Shard>& shards = plan.shards();
-  const SpinorWire sw = mreq.wire.spinor;
-  plan.load(problem.b());
-  plan.size_wires(sw);
-
-  std::vector<std::unique_ptr<minisycl::queue>> queues;
-  for (int d = 0; d < ndev; ++d) {
-    queues.push_back(std::make_unique<minisycl::queue>(minisycl::ExecMode::profiled,
-                                                       vi.queue_order, machine_, cal_));
-  }
-
-  dsan::Recorder* rec = dsan::Recorder::current();
-  if (rec != nullptr) {
-    rec->barrier("run @ " + mreq.grid.label());
-    hook_queues_for_dsan(rec, queues);
-  }
-
-  MultiDevResult res;
-  res.label = config_label(mreq.req.strategy, mreq.req.order, mreq.req.local_size) + " @ " +
-              mreq.grid.label();
-  res.devices = ndev;
-  PhaseTimes pt(ndev);
-
-  // --- Phase 1: every device packs its outbound faces. ------------------
-  // (msg.peer is the sender; iteration order is deterministic.)  Fabric-
-  // bound slabs pack first so their aggregates hit the slow pipe at
-  // fabric_pack_us while the NVLink slabs are still packing — the two-phase
-  // schedule.  Single-node runs have no pass-0 slabs: identical schedule.
-  // Wire buffers hold *encoded* bytes (msg.wire_bytes of the format): the
-  // pack kernels write the wire element type directly — no staging copy.
-  std::vector<std::vector<double>> scales(static_cast<std::size_t>(ndev));
-  for (const Shard& sh : shards) {
-    scales[static_cast<std::size_t>(sh.rank)].assign(sh.halo.size(), 1.0);
-  }
-  std::vector<gpusim::LinkMessage> messages;
-  std::vector<double> fabric_pack_us(static_cast<std::size_t>(ndev), 0.0);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const Shard& sh : shards) {
-      for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-        const HaloMsg& msg = sh.halo[mi];
-        if ((pass == 0) != crosses_fabric(msg.peer, sh.rank)) continue;
-        const ShardFields& sender = plan.fields(msg.peer);
-        const double scale = message_scale(sw, sender.src.data(), msg);
-        scales[static_cast<std::size_t>(sh.rank)][mi] = scale;
-        minisycl::queue& q = *queues[static_cast<std::size_t>(msg.peer)];
-        with_pack_kernel(plan, sh, mi, sw, mreq.pack_local_size, scale,
-                         [&](const minisycl::LaunchSpec& spec, const auto& pack) {
-                           const gpusim::KernelStats st = q.submit(spec, pack, "halo-pack");
-                           pt.pack[static_cast<std::size_t>(msg.peer)] +=
-                               st.duration_us + q.launch_overhead_us();
-                         });
-        if (rec != nullptr) {
-          const auto& wire = plan.fields(sh.rank).wire[mi];
-          rec->annotate(
-              msg.peer, pack_site(msg.peer, sh.rank),
-              {dsan::span_of(sender.src.data(),
-                             static_cast<std::size_t>(
-                                 shards[static_cast<std::size_t>(msg.peer)].sources())),
-               dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-              {dsan::span_of(wire.data(), wire.size())});
-        }
-      }
-    }
-    if (pass == 0) fabric_pack_us = pt.pack;
-  }
-  // A device puts its messages on the wire once the packs feeding them are
-  // done (bulk departure, the cudaMemcpyPeerAsync-after-pack pattern);
-  // fabric-bound slabs depart at the end of the fabric pack pass.
-  std::vector<std::uint64_t> tx_ids;
-  for (const Shard& sh : shards) {
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      const bool fabric = crosses_fabric(msg.peer, sh.rank);
-      messages.push_back({.src = msg.peer,
-                          .dst = sh.rank,
-                          .bytes = msg.wire_bytes(sw),
-                          .depart_us = fabric
-                                           ? fabric_pack_us[static_cast<std::size_t>(msg.peer)]
-                                           : pt.pack[static_cast<std::size_t>(msg.peer)],
-                          .site = exchange_site(msg.peer, sh.rank)});
-      if (rec != nullptr) {
-        const auto& wire = plan.fields(sh.rank).wire[mi];
-        tx_ids.push_back(rec->send(msg.peer, sh.rank, exchange_site(msg.peer, sh.rank),
-                                   /*round=*/1, dsan::span_of(wire.data(), wire.size()),
-                                   /*dropped=*/false, fabric,
-                                   multi_node ? mreq.topo.node_of(msg.peer) : 0,
-                                   multi_node ? mreq.topo.node_of(sh.rank) : 0));
-      }
-    }
-  }
-
-  // --- Phase 2: interior compute, concurrent with the exchange. ---------
-  // Host execution order (interior before unpack) also proves the interior
-  // range reads no ghost slot: ghosts are still NaN poison here.
-  for (const Shard& sh : shards) {
-    if (sh.n_interior == 0) continue;
-    ShardFields& f = plan.fields(sh.rank);
-    const int ls =
-        pick_local_size(mreq.req.strategy, mreq.req.order, mreq.req.local_size, sh.n_interior);
-    pt.interior[static_cast<std::size_t>(sh.rank)] =
-        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)],
-                      range_args(f, sh, 0, sh.n_interior), sh.extended_sources(), mreq.req, vi,
-                      ls, "dslash-interior");
-    if (rec != nullptr) {
-      rec->annotate(sh.rank, "dslash-interior r" + std::to_string(sh.rank),
-                    {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.sources()))},
-                    {dsan::span_of(f.dst.data(), static_cast<std::size_t>(sh.n_interior))});
-    }
-  }
-
-  if (multi_node) {
-    const gpusim::FabricExchangeReport frep =
-        gpusim::simulate_topology_exchange(mreq.topo, messages);
-    pt.arrival = frep.arrival_us;
-    res.nodes = mreq.topo.nodes;
-    res.intra_node_bytes = frep.intra_bytes;
-    res.inter_node_bytes = frep.inter_bytes;
-    res.fabric_messages = frep.inter_messages;
-    res.intra_wire_us = frep.intra_wire_us;
-    res.inter_wire_us = frep.inter_wire_us;
-  } else {
-    const gpusim::ExchangeReport xrep = simulate_exchange(mreq.link, messages, ndev);
-    pt.arrival = xrep.arrival_us;
-  }
-  if (rec != nullptr) {
-    std::size_t k = 0;
-    for (const Shard& sh : shards) {
-      for (std::size_t mi = 0; mi < sh.halo.size(); ++mi, ++k) {
-        const auto& wire = plan.fields(sh.rank).wire[mi];
-        rec->recv(tx_ids[k], /*delivered=*/true, {dsan::span_of(wire.data(), wire.size())});
-      }
-    }
-  }
-
-  // --- Phase 3: unpack ghosts, then boundary compute. -------------------
-  std::size_t msg_seq = 0;
-  for (const Shard& sh : shards) {
-    ShardFields& f = plan.fields(sh.rank);
-    minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      with_unpack_kernel(plan, sh, mi, sw, mreq.pack_local_size, f.wire[mi].data(),
-                         scales[static_cast<std::size_t>(sh.rank)][mi],
-                         [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
-                           const gpusim::KernelStats st = q.submit(spec, unpack, "halo-unpack");
-                           pt.unpack[static_cast<std::size_t>(sh.rank)] +=
-                               st.duration_us + q.launch_overhead_us();
-                         });
-      if (rec != nullptr) {
-        rec->annotate(sh.rank, unpack_site(msg.peer, sh.rank),
-                      {dsan::span_of(f.wire[mi].data(), f.wire[mi].size())},
-                      {dsan::span_of(f.src.data() + msg.ghost_base,
-                                     static_cast<std::size_t>(msg.count()))},
-                      tx_ids[msg_seq]);
-      }
-      ++msg_seq;
-    }
-  }
-
-  for (const Shard& sh : shards) {
-    if (sh.n_boundary == 0) continue;
-    ShardFields& f = plan.fields(sh.rank);
-    const int ls =
-        pick_local_size(mreq.req.strategy, mreq.req.order, mreq.req.local_size, sh.n_boundary);
-    pt.boundary[static_cast<std::size_t>(sh.rank)] =
-        submit_dslash(*queues[static_cast<std::size_t>(sh.rank)],
-                      range_args(f, sh, sh.n_interior, sh.n_boundary), sh.extended_sources(),
-                      mreq.req, vi, ls, "dslash-boundary");
-    if (rec != nullptr) {
-      rec->annotate(
-          sh.rank, "dslash-boundary r" + std::to_string(sh.rank),
-          {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.extended_sources()))},
-          {dsan::span_of(f.dst.data() + sh.n_interior,
-                         static_cast<std::size_t>(sh.n_boundary))});
-    }
-  }
-
-  // --- Gather output and assemble the overlap timeline. -----------------
-  plan.store(problem.c());
-  assemble_timeline(problem, plan, sw, pt, res);
-  res.final_grid = mreq.grid;
-  res.wire = mreq.wire;
-  if (!multi_node) res.intra_node_bytes = res.halo_bytes;
-  return res;
-}
-
 std::int64_t shard_slab_bytes(const Partitioner& part, int rank) {
   return shard_slab_bytes(part, rank, WireFormat{});
 }
@@ -723,22 +502,24 @@ struct RejoinTarget {
   std::string what;  ///< heal-site grammar: "device r<k>" | "node n<j>"
 };
 
-/// Priced, checksummed, retransmitting wire transfer of one shard's slabs
-/// onto a spare or rejoining device.  Mirrors the hardened halo path: one
-/// injector consult per round, dsan send/recv/checksum per transmission,
-/// exponential backoff between rounds, every microsecond charged to the
-/// elastic accounting on `res`.  Returns the dsan uid of the verified
-/// delivery (0 without a recorder), or nothing when the round budget is
+/// Priced, checksummed, retransmitting wire transfer of rank `dst`'s shard
+/// state (`bytes`, see shard_slab_bytes) from survivor `src` onto the device
+/// adopting it on `grid` — a hot spare, a standby node or a rejoining rank.
+/// Mirrors the hardened halo exchange: one injector consult per round, dsan
+/// send/recv/checksum per transmission, exponential backoff between rounds,
+/// every microsecond charged to the elastic accounting on `res`.  A verified
+/// delivery enters the dsan trace as `dst`'s rejoin (`why`) followed by its
+/// resync on that delivery (`verified`); false when the round budget is
 /// spent — the caller then falls back to shrinking the grid.
-std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
-                                           const gpusim::NodeTopology& topo, int src, int dst,
-                                           const std::string& site, std::int64_t bytes,
-                                           const ExchangeConfig& xc, MultiDevResult& res) {
+bool transfer_slab(faultsim::Injector* inj, const gpusim::NodeTopology& topo, int src, int dst,
+                   const PartitionGrid& grid, std::int64_t bytes, const ExchangeConfig& xc,
+                   MultiDevResult& res, const std::string& why, const std::string& verified) {
   dsan::Recorder* rec = dsan::Recorder::current();
+  const std::string site = "rereplicate r" + std::to_string(dst) + " @ " + grid.label();
   const bool cross = topo.multi_node() && !topo.same_node(src, dst);
   double spent = 0.0;
-  std::optional<std::uint64_t> verified;
-  for (int round = 1; round <= xc.max_rounds; ++round) {
+  bool delivered = false;
+  for (int round = 1; round <= xc.max_rounds && !delivered; ++round) {
     const faultsim::LinkVerdict v =
         inj->on_message(site, static_cast<std::uint64_t>(bytes));
     double wire = cross ? gpusim::fabric_wire_time_us(topo.fabric, bytes)
@@ -747,26 +528,26 @@ std::optional<std::uint64_t> transfer_slab(faultsim::Injector* inj,
     if (v.delayed) wire = wire * v.bw_factor + v.extra_latency_us;
     spent += wire;
     res.rereplicated_bytes += bytes;
+    delivered = !v.dropped && !v.corrupted;
     std::uint64_t uid = 0;
     if (rec != nullptr) {
       uid = rec->send(src, dst, site, round,
                       dsan::MemSpan{0, static_cast<std::uint64_t>(bytes)}, v.dropped, cross,
-                      topo.multi_node() ? topo.node_of(src) : 0,
-                      topo.multi_node() ? topo.node_of(dst) : 0);
+                      topo.node_of(src), topo.node_of(dst));
       if (!v.dropped) {
         rec->recv(uid, /*delivered=*/!v.corrupted);
         rec->checksum(uid, !v.corrupted);
       }
+      if (delivered) {
+        rec->rejoin(dst, why);
+        rec->resync(dst, uid, verified);
+      }
     }
-    if (!v.dropped && !v.corrupted) {
-      verified = uid;
-      break;
-    }
-    spent += xc.backoff_base_us * std::pow(xc.backoff_factor, round - 1);
+    if (!delivered) spent += xc.backoff_base_us * std::pow(xc.backoff_factor, round - 1);
   }
   res.rereplication_us += spent;
   res.recovery_us += spent;
-  return verified;
+  return delivered;
 }
 
 }  // namespace
@@ -775,10 +556,18 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
                                                const MultiDevRequest& mreq,
                                                std::unique_ptr<ShardPlan>& plan) const {
   faultsim::Injector* inj = faultsim::Injector::current();
+  dsan::Recorder* rec = dsan::Recorder::current();
   const std::size_t log_mark = inj->log().size();
 
   MultiDevResult res;
   PartitionGrid grid = mreq.grid;
+  // Abandon `grid` for `next` and record why.
+  const auto fail_over = [&](const PartitionGrid& next, const std::string& reason,
+                             int attempt) {
+    res.failovers.push_back(FailoverEvent{grid, next, reason, attempt});
+    if (rec != nullptr) rec->failover(reason);
+    grid = next;
+  };
   // Hot-spare pool (elastic recovery): device spares per node group of the
   // *requested* topology, plus whole standby nodes behind the fabric.
   int device_spares = mreq.topo.spares.devices_per_node * std::max(1, mreq.topo.nodes);
@@ -807,23 +596,15 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
       // The re-admitted ranks receive the shard state of the rejoined grid's
       // plan — built here, and kept for the attempt on that grid.
       const Partitioner& part = resident_plan(plan, problem, tgt.grid).partitioner();
-      dsan::Recorder* rec = dsan::Recorder::current();
       bool resynced = true;
-      for (int r = ndev; r < tgt.grid.total(); ++r) {
-        const int src = r % ndev;  // a survivor re-sends the slabs it holds
-        const std::string site =
-            "rereplicate r" + std::to_string(r) + " @ " + tgt.grid.label();
-        const std::optional<std::uint64_t> msg =
-            transfer_slab(inj, big_topo, src, r, site,
-                          shard_slab_bytes(part, r, mreq.wire), mreq.xcfg, res);
-        if (!msg.has_value()) {
-          resynced = false;  // transfer budget spent: stay on the small grid
-          break;
-        }
-        if (rec != nullptr) {
-          rec->rejoin(r, tgt.what + " healed; rank r" + std::to_string(r) + " re-admitted");
-          rec->resync(r, *msg, "replica verified on " + tgt.grid.label());
-        }
+      for (int r = ndev; r < tgt.grid.total() && resynced; ++r) {
+        // A survivor re-sends the slabs it holds; a spent transfer budget
+        // leaves the run on the small grid.
+        resynced = transfer_slab(inj, big_topo, r % ndev, r, tgt.grid,
+                                 shard_slab_bytes(part, r, mreq.wire), mreq.xcfg, res,
+                                 tgt.what + " healed; rank r" + std::to_string(r) +
+                                     " re-admitted",
+                                 "replica verified on " + tgt.grid.label());
       }
       if (resynced) {
         ++res.rejoins;
@@ -853,24 +634,13 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
       // shrinking below the survivor count.
       if (node_spares > 0) {
         const Partitioner& part = resident_plan(plan, problem, grid).partitioner();
-        dsan::Recorder* rec = dsan::Recorder::current();
         bool adopted = true;
-        for (int d = 0; d < topo.devices_per_node; ++d) {
+        for (int d = 0; d < topo.devices_per_node && adopted; ++d) {
           const int r = lost_node * topo.devices_per_node + d;
-          const int src = (r + topo.devices_per_node) % ndev;  // surviving node peer
-          const std::string site =
-              "rereplicate r" + std::to_string(r) + " @ " + grid.label();
-          const std::optional<std::uint64_t> msg =
-              transfer_slab(inj, topo, src, r, site,
-                            shard_slab_bytes(part, r, mreq.wire), mreq.xcfg, res);
-          if (!msg.has_value()) {
-            adopted = false;
-            break;
-          }
-          if (rec != nullptr) {
-            rec->rejoin(r, "standby node adopts rank r" + std::to_string(r));
-            rec->resync(r, *msg, "replica verified on standby node");
-          }
+          adopted = transfer_slab(inj, topo, (r + topo.devices_per_node) % ndev, r, grid,
+                                  shard_slab_bytes(part, r, mreq.wire), mreq.xcfg, res,
+                                  "standby node adopts rank r" + std::to_string(r),
+                                  "replica verified on standby node");
         }
         if (adopted) {
           --node_spares;
@@ -886,16 +656,11 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
       const int survivors = ndev - topo.devices_per_node;
       PartitionGrid next = grid;
       while (next.total() > survivors && next.total() > 1) next = fallback_grid(next);
-      res.failovers.push_back(FailoverEvent{
-          grid, next,
-          "node n" + std::to_string(lost_node) + " lost (" +
-              std::to_string(topo.devices_per_node) + " devices)",
-          attempt});
-      if (dsan::Recorder* rec = dsan::Recorder::current()) {
-        rec->failover(res.failovers.back().reason);
-      }
       rejoinable.push_back(RejoinTarget{grid, "node n" + std::to_string(lost_node)});
-      grid = next;
+      fail_over(next,
+                "node n" + std::to_string(lost_node) + " lost (" +
+                    std::to_string(topo.devices_per_node) + " devices)",
+                attempt);
       continue;
     }
 
@@ -915,36 +680,22 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
       // A hot spare on the island adopts the lost shard and the grid keeps
       // its full width; only when no spare (or no transfer budget) is left
       // does the shrink failover below run.
-      if (device_spares > 0) {
-        const Partitioner& part = resident_plan(plan, problem, grid).partitioner();
-        const int src = (lost + 1) % ndev;
-        const std::string site =
-            "rereplicate r" + std::to_string(lost) + " @ " + grid.label();
-        const std::optional<std::uint64_t> msg =
-            transfer_slab(inj, topo, src, lost, site,
-                          shard_slab_bytes(part, lost, mreq.wire), mreq.xcfg, res);
-        if (msg.has_value()) {
-          --device_spares;
-          ++res.spares_consumed;
-          res.failovers.push_back(FailoverEvent{
-              grid, grid,
-              "device r" + std::to_string(lost) + " lost; shard re-replicated onto hot spare",
-              attempt});
-          if (dsan::Recorder* rec = dsan::Recorder::current()) {
-            rec->rejoin(lost, "hot spare adopts rank r" + std::to_string(lost));
-            rec->resync(lost, *msg, "replica verified on spare");
-          }
-          continue;
-        }
-      }
-      const PartitionGrid next = fallback_grid(grid);
-      res.failovers.push_back(FailoverEvent{
-          grid, next, "device r" + std::to_string(lost) + " lost", attempt});
-      if (dsan::Recorder* rec = dsan::Recorder::current()) {
-        rec->failover(res.failovers.back().reason);
+      if (device_spares > 0 &&
+          transfer_slab(inj, topo, (lost + 1) % ndev, lost, grid,
+                        shard_slab_bytes(resident_plan(plan, problem, grid).partitioner(),
+                                         lost, mreq.wire),
+                        mreq.xcfg, res, "hot spare adopts rank r" + std::to_string(lost),
+                        "replica verified on spare")) {
+        --device_spares;
+        ++res.spares_consumed;
+        res.failovers.push_back(FailoverEvent{
+            grid, grid,
+            "device r" + std::to_string(lost) + " lost; shard re-replicated onto hot spare",
+            attempt});
+        continue;
       }
       rejoinable.push_back(RejoinTarget{grid, "device r" + std::to_string(lost)});
-      grid = next;
+      fail_over(fallback_grid(grid), "device r" + std::to_string(lost) + " lost", attempt);
       continue;
     }
 
@@ -953,7 +704,7 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
     // the last consistent state" is a rerun from the inputs on the surviving
     // grid; the sharded CG solver layers checkpointed *solver* state on top.
     std::string reason;
-    if (run_attempt(problem, mreq, resident_plan(plan, problem, grid), res, reason)) break;
+    if (drive(problem, mreq, resident_plan(plan, problem, grid), res, reason)) break;
     if (grid.total() == 1) {
       // Nothing left to shrink to: recovery exhausted.
       res.recovered = false;
@@ -961,63 +712,64 @@ MultiDevResult MultiDeviceRunner::run_hardened(DslashProblem& problem,
                                             attempt});
       break;
     }
-    const PartitionGrid next = fallback_grid(grid);
-    res.failovers.push_back(FailoverEvent{grid, next, reason, attempt});
-    if (dsan::Recorder* rec = dsan::Recorder::current()) {
-      rec->failover(res.failovers.back().reason);
-    }
-    grid = next;
+    fail_over(fallback_grid(grid), reason, attempt);
   }
 
-  res.final_grid = grid;
-  res.wire = mreq.wire;
-  res.devices = grid.total();
-  res.nodes = effective_topology(mreq.topo, grid.total()).nodes;
   res.faults = inj->log_since(log_mark);
   return res;
 }
 
-bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevRequest& mreq,
-                                    ShardPlan& plan, MultiDevResult& res,
-                                    std::string& fail_reason) const {
+bool MultiDeviceRunner::drive(DslashProblem& problem, const MultiDevRequest& mreq,
+                              ShardPlan& plan, MultiDevResult& res,
+                              std::string& fail_reason) const {
+  // The fault-plan switch: with an injector installed, payloads are
+  // checksummed, every delivery lands on a receiver-side copy and
+  // undelivered messages ride retransmission rounds.  Kernel retries and
+  // the strategy ladder below engage only on an injected fault, so without
+  // one every step runs exactly once.
+  faultsim::Injector* const inj = faultsim::Injector::current();
   const PartitionGrid& grid = plan.grid();
   const int ndev = grid.total();
   const gpusim::NodeTopology topo = effective_topology(mreq.topo, ndev);
-  const VariantInfo& vi = variant_info(mreq.req.variant);
+  const auto crosses_fabric = [&](int a, int b) {
+    return topo.multi_node() && !topo.same_node(a, b);
+  };
   const ExchangeConfig& xc = mreq.xcfg;
   const std::vector<Shard>& shards = plan.shards();
-  // Wire buffers hold *encoded* payload bytes in the request's wire format.
-  // Checksums, corruption, retransmission and pricing below all operate on
-  // these encoded bytes — never on a decoded staging copy.
+  // Wire buffers hold *encoded* payload bytes in the request's wire format:
+  // the pack kernels write the wire element type directly, and checksums,
+  // corruption, retransmission and pricing all operate on these bytes.
   const SpinorWire sw = mreq.wire.spinor;
   plan.load(problem.b());
   plan.size_wires(sw);
 
-  std::vector<std::unique_ptr<minisycl::queue>> queues;
-  for (int d = 0; d < ndev; ++d) {
-    queues.push_back(
-        std::make_unique<minisycl::queue>(mreq.mode, vi.queue_order, machine_, cal_));
-  }
-
+  const VariantInfo& vi = variant_info(mreq.req.variant);
+  std::vector<minisycl::queue> queues(
+      static_cast<std::size_t>(ndev), minisycl::queue(mreq.mode, vi.queue_order, machine_, cal_));
   dsan::Recorder* rec = dsan::Recorder::current();
   if (rec != nullptr) {
-    rec->barrier("attempt @ " + grid.label());
-    hook_queues_for_dsan(rec, queues);
+    rec->barrier("apply @ " + grid.label());
+    // The hook fires only on successful submissions, so retried failures
+    // never enter the trace; each step below refines the raw Kernel event
+    // with its protocol site and memory spans via annotate().
+    for (int d = 0; d < ndev; ++d) {
+      queues[static_cast<std::size_t>(d)].set_kernel_hook(
+          [rec, d](const std::string& name, const gpusim::KernelStats&) { rec->kernel(d, name); });
+    }
   }
 
   res.label = config_label(mreq.req.strategy, mreq.req.order, mreq.req.local_size) + " @ " +
               grid.label();
   res.devices = ndev;
-  res.per_device.assign(static_cast<std::size_t>(ndev), DeviceTimeline{});
-  for (int d = 0; d < ndev; ++d) res.per_device[static_cast<std::size_t>(d)].rank = d;
-  res.per_iter_us = 0.0;
-  res.halo_bytes = 0;
+  res.nodes = topo.nodes;
+  res.final_grid = grid;
+  res.wire = mreq.wire;
   PhaseTimes pt(ndev);
 
   // Bounded-retry submission of one halo (pack/unpack) kernel.
-  auto submit_halo_resilient = [&](minisycl::queue& q, const minisycl::LaunchSpec& spec,
-                                   const auto& kernel, const std::string& name, int rank,
-                                   double& us_acc) -> bool {
+  auto submit_halo = [&](minisycl::queue& q, const minisycl::LaunchSpec& spec,
+                         const auto& kernel, const std::string& name, int rank,
+                         double& us_acc) -> bool {
     for (int a = 0; a < xc.max_kernel_attempts; ++a) {
       const gpusim::KernelStats st = q.submit(spec, kernel, name);
       if (st.fault.empty()) {
@@ -1036,9 +788,9 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
 
   // Bounded retry + strategy-fallback ladder for one Dslash range (the
   // per-shard analogue of ResilientRunner's rung loop).
-  auto submit_dslash_resilient = [&](const Shard& sh, std::int64_t first, std::int64_t count,
-                                     const std::string& name, double& us_acc) -> bool {
-    minisycl::queue& q = *queues[static_cast<std::size_t>(sh.rank)];
+  auto submit_range = [&](const Shard& sh, std::int64_t first, std::int64_t count,
+                          const std::string& name, double& us_acc) -> bool {
+    minisycl::queue& q = queues[static_cast<std::size_t>(sh.rank)];
     std::vector<Strategy> rungs{mreq.req.strategy};
     for (Strategy s : xc.ladder) {
       if (std::find(rungs.begin(), rungs.end(), s) == rungs.end()) rungs.push_back(s);
@@ -1050,7 +802,7 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
       const int ls = pick_local_size(r.strategy, r.order, r.local_size, count);
       for (int a = 0; a < xc.max_kernel_attempts; ++a) {
         const gpusim::KernelStats st =
-            submit_dslash_raw(q, args, sh.extended_sources(), r, rvi, ls, name);
+            submit_dslash(q, args, sh.extended_sources(), r, rvi, ls, name);
         if (st.fault.empty()) {
           us_acc += st.duration_us + q.launch_overhead_us();
           return true;
@@ -1070,60 +822,72 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     return false;
   };
 
-  // --- Phase 1: packs (bounded retry) + payload checksums. ----------------
-  struct MsgRef {
+  // Every inbound message in canonical (receiver, message) order: the order
+  // the wire prices and consults them in, and the unpack order.
+  struct Msg {
     int dst = 0;
     std::size_t mi = 0;
+    double scale = 1.0;          ///< fp16 range scale, fixed by the sender
+    std::uint64_t checksum = 0;  ///< FNV-1a of the packed payload (fault plan only)
+    std::uint64_t tx = 0;        ///< dsan uid of the delivery the unpack consumes
   };
-  const auto wire_of = [&](const MsgRef& m) -> std::vector<std::byte>& {
+  std::vector<Msg> msgs;
+  for (const Shard& sh : shards) {
+    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) msgs.push_back({sh.rank, mi});
+  }
+  const auto halo_of = [&](const Msg& m) -> const HaloMsg& {
+    return shards[static_cast<std::size_t>(m.dst)].halo[m.mi];
+  };
+  const auto wire_of = [&](const Msg& m) -> std::vector<std::byte>& {
     return plan.fields(m.dst).wire[m.mi];
   };
-  const auto rx_of = [&](const MsgRef& m) -> std::vector<std::byte>& {
+  const auto rx_of = [&](const Msg& m) -> std::vector<std::byte>& {
     return plan.fields(m.dst).rx[m.mi];
   };
-  std::vector<MsgRef> order;
-  std::vector<std::uint64_t> checksums;
-  std::vector<double> msg_scales;
-  for (const Shard& sh : shards) {
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      const ShardFields& sender = plan.fields(msg.peer);
-      const double scale = message_scale(sw, sender.src.data(), msg);
-      const std::string name = pack_site(msg.peer, sh.rank);
+
+  // --- pack: every sender gathers its outbound faces. -------------------
+  // Fabric-bound slabs pack first so their aggregates hit the slow pipe
+  // while the NVLink slabs are still packing — the two-phase schedule; a
+  // single node has no fabric pass.
+  std::vector<double> fabric_pack_us;
+  for (const bool fabric_pass : {true, false}) {
+    for (Msg& m : msgs) {
+      const HaloMsg& hm = halo_of(m);
+      if (crosses_fabric(hm.peer, m.dst) != fabric_pass) continue;
+      const auto peer = static_cast<std::size_t>(hm.peer);
+      const ShardFields& sender = plan.fields(hm.peer);
+      m.scale = message_scale(sw, sender.src.data(), hm);
+      const std::string name = pack_site(hm.peer, m.dst);
       const bool ok = with_pack_kernel(
-          plan, sh, mi, sw, mreq.pack_local_size, scale,
+          plan, shards[static_cast<std::size_t>(m.dst)], m.mi, sw, m.scale,
           [&](const minisycl::LaunchSpec& spec, const auto& pack) {
-            return submit_halo_resilient(*queues[static_cast<std::size_t>(msg.peer)], spec,
-                                         pack, name, msg.peer,
-                                         pt.pack[static_cast<std::size_t>(msg.peer)]);
+            return submit_halo(queues[peer], spec, pack, name, hm.peer, pt.pack[peer]);
           });
       if (!ok) {
         fail_reason = "pack kernel '" + name + "' exhausted its retries";
         return false;
       }
-      const MsgRef ref{sh.rank, mi};
-      const std::vector<std::byte>& wire = wire_of(ref);
+      const std::vector<std::byte>& wire = wire_of(m);
       if (rec != nullptr) {
-        rec->annotate(
-            msg.peer, name,
-            {dsan::span_of(sender.src.data(),
-                           static_cast<std::size_t>(
-                               shards[static_cast<std::size_t>(msg.peer)].sources())),
-             dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-            {dsan::span_of(wire.data(), wire.size())});
+        rec->annotate(hm.peer, name,
+                      {dsan::span_of(sender.src.data(),
+                                     static_cast<std::size_t>(shards[peer].sources())),
+                       dsan::span_of(hm.send_slots.data(), hm.send_slots.size())},
+                      {dsan::span_of(wire.data(), wire.size())});
       }
-      order.push_back(ref);
-      msg_scales.push_back(scale);
-      checksums.push_back(fnv1a(wire.data(), wire.size()));
+      if (inj != nullptr) m.checksum = fnv1a(wire.data(), wire.size());
     }
+    if (fabric_pass) fabric_pack_us = pt.pack;
   }
 
-  // --- Phase 2: interior compute (retry + ladder), overlapped. ------------
+  // --- interior compute, concurrent with the exchange. ------------------
+  // Host execution order (interior before unpack) also proves the interior
+  // range reads no ghost slot: ghosts are still NaN poison here.
   for (const Shard& sh : shards) {
     if (sh.n_interior == 0) continue;
     const std::string name = "dslash-interior r" + std::to_string(sh.rank);
-    if (!submit_dslash_resilient(sh, 0, sh.n_interior, name,
-                                 pt.interior[static_cast<std::size_t>(sh.rank)])) {
+    if (!submit_range(sh, 0, sh.n_interior, name,
+                      pt.interior[static_cast<std::size_t>(sh.rank)])) {
       fail_reason = "interior kernel '" + name + "' exhausted the strategy ladder";
       return false;
     }
@@ -1135,40 +899,42 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     }
   }
 
-  // --- Exchange rounds: deliver -> verify checksum -> retransmit. ---------
-  // The sender's pack buffer stays pristine; every delivery lands on a
+  // --- exchange rounds: price -> deliver -> verify -> retransmit. -------
+  // A device puts its messages on the wire once the packs feeding them are
+  // done (bulk departure, the cudaMemcpyPeerAsync-after-pack pattern);
+  // fabric-bound slabs depart at the end of the fabric pass.  Under a fault
+  // plan the sender's wire buffer stays pristine: every delivery lands on a
   // receiver-side copy, so corruption never destroys the retransmission
   // source and a verified payload is unpacked exactly once.
-  ExchangeReport& xr = res.exchange;
-  xr.messages += static_cast<int>(order.size());
-  std::vector<char> delivered(order.size(), 0);
-  std::vector<std::uint64_t> last_tx(order.size(), 0);
+  ExchangeReport unreported;  // the report is hardened-path accounting
+  ExchangeReport& xr = inj != nullptr ? res.exchange : unreported;
+  xr.messages += static_cast<int>(msgs.size());
+  std::vector<std::size_t> pend(msgs.size());
+  for (std::size_t i = 0; i < pend.size(); ++i) pend[i] = i;
   double wire_clock = 0.0;
-  std::size_t remaining = order.size();
-  for (int round = 1; remaining > 0; ++round) {
+  for (int round = 1; !pend.empty(); ++round) {
     if (round > xc.max_rounds) {
       xr.succeeded = false;
       fail_reason = "exchange exhausted " + std::to_string(xc.max_rounds) +
-                    " delivery rounds (" + std::to_string(remaining) + " undelivered)";
+                    " delivery rounds (" + std::to_string(pend.size()) + " undelivered)";
       return false;
     }
     ++xr.rounds;
-    std::vector<std::size_t> pend;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (delivered[i] == 0) pend.push_back(i);
-    }
     if (round > 1) xr.retransmissions += static_cast<int>(pend.size());
 
-    std::vector<gpusim::LinkMessage> msgs;
-    msgs.reserve(pend.size());
+    std::vector<gpusim::LinkMessage> wire_msgs;
+    wire_msgs.reserve(pend.size());
     for (const std::size_t i : pend) {
-      const HaloMsg& hm = shards[static_cast<std::size_t>(order[i].dst)].halo[order[i].mi];
-      msgs.push_back({.src = hm.peer,
-                      .dst = order[i].dst,
-                      .bytes = hm.wire_bytes(sw),
-                      .depart_us =
-                          std::max(pt.pack[static_cast<std::size_t>(hm.peer)], wire_clock),
-                      .site = exchange_site(hm.peer, order[i].dst)});
+      const HaloMsg& hm = halo_of(msgs[i]);
+      const auto peer = static_cast<std::size_t>(hm.peer);
+      const int dst = msgs[i].dst;
+      const double packed =
+          crosses_fabric(hm.peer, dst) ? fabric_pack_us[peer] : pt.pack[peer];
+      wire_msgs.push_back({.src = hm.peer,
+                           .dst = dst,
+                           .bytes = hm.wire_bytes(sw),
+                           .depart_us = std::max(packed, wire_clock),
+                           .site = exchange_site(hm.peer, dst)});
     }
     // Over a multi-node topology the round's messages ride the two-level
     // exchange: intra-node ones keep their per-message fault sites, inter-
@@ -1177,123 +943,124 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     // joins the next round's (smaller) aggregate — retransmit-over-fabric.
     if (topo.multi_node()) {
       const gpusim::FabricExchangeReport frep =
-          gpusim::simulate_topology_exchange(topo, msgs);
+          gpusim::simulate_topology_exchange(topo, wire_msgs);
       res.intra_node_bytes += frep.intra_bytes;
       res.inter_node_bytes += frep.inter_bytes;
       res.fabric_messages += frep.inter_messages;
       res.intra_wire_us += frep.intra_wire_us;
       res.inter_wire_us += frep.inter_wire_us;
     } else {
-      simulate_exchange(mreq.link, msgs, ndev);
+      res.intra_node_bytes += simulate_exchange(mreq.link, wire_msgs, ndev).total_bytes;
     }
 
     // Transmissions enter the trace after the wire simulation so the drop
     // verdict rides the Send event (a retransmit round records fresh uids).
-    std::vector<std::uint64_t> round_tx(msgs.size(), 0);
+    std::vector<std::uint64_t> round_tx(wire_msgs.size(), 0);
     if (rec != nullptr) {
-      for (std::size_t j = 0; j < msgs.size(); ++j) {
-        const gpusim::LinkMessage& lm = msgs[j];
-        const std::vector<std::byte>& wire = wire_of(order[pend[j]]);
-        round_tx[j] = rec->send(
-            lm.src, lm.dst, lm.site, round, dsan::span_of(wire.data(), wire.size()),
-            lm.dropped, topo.multi_node() && !topo.same_node(lm.src, lm.dst),
-            topo.multi_node() ? topo.node_of(lm.src) : 0,
-            topo.multi_node() ? topo.node_of(lm.dst) : 0);
+      for (std::size_t j = 0; j < wire_msgs.size(); ++j) {
+        const gpusim::LinkMessage& lm = wire_msgs[j];
+        const std::vector<std::byte>& wire = wire_of(msgs[pend[j]]);
+        round_tx[j] = rec->send(lm.src, lm.dst, lm.site, round,
+                                dsan::span_of(wire.data(), wire.size()), lm.dropped,
+                                crosses_fabric(lm.src, lm.dst), topo.node_of(lm.src),
+                                topo.node_of(lm.dst));
       }
     }
 
+    std::vector<std::size_t> undelivered;
     double round_end = wire_clock;
-    for (std::size_t j = 0; j < msgs.size(); ++j) {
-      const std::size_t i = pend[j];
-      const gpusim::LinkMessage& lm = msgs[j];
+    for (std::size_t j = 0; j < wire_msgs.size(); ++j) {
+      Msg& m = msgs[pend[j]];
+      const gpusim::LinkMessage& lm = wire_msgs[j];
       round_end = std::max(round_end, lm.done_us);
-      ExchangeEvent ev;
-      ev.round = round;
-      ev.src = lm.src;
-      ev.dst = lm.dst;
-      ev.site = lm.site;
-      ev.dropped = lm.dropped;
-      ev.corrupted = lm.corrupted;
-      ev.delayed = lm.delayed;
+      ExchangeEvent ev{.round = round,
+                       .src = lm.src,
+                       .dst = lm.dst,
+                       .site = lm.site,
+                       .dropped = lm.dropped,
+                       .corrupted = lm.corrupted,
+                       .delayed = lm.delayed};
       xr.drops += lm.dropped ? 1 : 0;
       xr.corruptions += lm.corrupted ? 1 : 0;
       xr.delays += lm.delayed ? 1 : 0;
       if (!lm.dropped) {
-        const std::vector<std::byte>& wire = wire_of(order[i]);
-        std::vector<std::byte>& rx = rx_of(order[i]);
-        rx.assign(wire.begin(), wire.end());
-        if (lm.corrupted) {
-          // The bit flip lands in the *encoded* wire bytes — on a reduced
-          // format that is the compressed payload, so the checksum below
-          // (also over encoded bytes) catches it before any decode runs.
-          faultsim::flip_bit(rx.data(), rx.size(), lm.corrupt_key);
+        const std::vector<std::byte>& wire = wire_of(m);
+        std::vector<std::byte>& rx = rx_of(m);
+        std::vector<dsan::MemSpan> copies;
+        if (inj != nullptr) {
+          rx.assign(wire.begin(), wire.end());
+          if (lm.corrupted) {
+            // The bit flip lands in the *encoded* wire bytes — on a reduced
+            // format that is the compressed payload, so the checksum below
+            // (also over encoded bytes) catches it before any decode runs.
+            faultsim::flip_bit(rx.data(), rx.size(), lm.corrupt_key);
+          }
+          ev.checksum_ok = fnv1a(rx.data(), rx.size()) == m.checksum;
+          copies.push_back(dsan::span_of(rx.data(), rx.size()));
         }
-        ev.checksum_ok = fnv1a(rx.data(), rx.size()) == checksums[i];
         if (rec != nullptr) {
           rec->recv(round_tx[j], ev.checksum_ok, {dsan::span_of(wire.data(), wire.size())},
-                    {dsan::span_of(rx.data(), rx.size())});
-          rec->checksum(round_tx[j], ev.checksum_ok);
-          if (ev.checksum_ok) last_tx[i] = round_tx[j];
+                    std::move(copies));
+          if (inj != nullptr) rec->checksum(round_tx[j], ev.checksum_ok);
         }
         if (ev.checksum_ok) {
-          delivered[i] = 1;
-          --remaining;
           ev.delivered = true;
+          m.tx = round_tx[j];
           pt.arrival[static_cast<std::size_t>(lm.dst)] =
               std::max(pt.arrival[static_cast<std::size_t>(lm.dst)], lm.done_us);
         } else {
           ++xr.checksum_failures;
         }
       }
+      if (!ev.delivered) undelivered.push_back(pend[j]);
       xr.events.push_back(std::move(ev));
     }
+    pend = std::move(undelivered);
 
-    if (remaining > 0) {
+    if (!pend.empty()) {
       const double backoff = xc.backoff_base_us * std::pow(xc.backoff_factor, round - 1);
       xr.backoff_us += backoff;
       res.recovery_us += backoff;
       wire_clock = round_end + backoff;
       if (wire_clock > xc.watchdog_us) {
         xr.watchdog_fired = true;
-        fail_reason =
-            "exchange watchdog expired after round " + std::to_string(round) + " (" +
-            std::to_string(remaining) + " undelivered)";
+        fail_reason = "exchange watchdog expired after round " + std::to_string(round) + " (" +
+                      std::to_string(pend.size()) + " undelivered)";
         return false;
       }
     }
   }
   xr.succeeded = true;
 
-  // --- Phase 3: unpack from the verified receiver copies, then boundary. --
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const int rank = order[i].dst;
-    const Shard& sh = shards[static_cast<std::size_t>(rank)];
-    const HaloMsg& msg = sh.halo[order[i].mi];
-    const std::vector<std::byte>& rx = rx_of(order[i]);
-    const std::string name = unpack_site(msg.peer, rank);
+  // --- unpack the verified payloads, then boundary compute. -------------
+  for (const Msg& m : msgs) {
+    if (detail::skip_unpack(m.dst, m.mi)) continue;
+    const HaloMsg& hm = halo_of(m);
+    const auto dst = static_cast<std::size_t>(m.dst);
+    const std::vector<std::byte>& payload = inj != nullptr ? rx_of(m) : wire_of(m);
+    const std::string name = unpack_site(hm.peer, m.dst);
     const bool ok = with_unpack_kernel(
-        plan, sh, order[i].mi, sw, mreq.pack_local_size, rx.data(), msg_scales[i],
+        plan, shards[dst], m.mi, sw, payload.data(), m.scale,
         [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
-          return submit_halo_resilient(*queues[static_cast<std::size_t>(rank)], spec, unpack,
-                                       name, rank, pt.unpack[static_cast<std::size_t>(rank)]);
+          return submit_halo(queues[dst], spec, unpack, name, m.dst, pt.unpack[dst]);
         });
     if (!ok) {
       fail_reason = "unpack kernel '" + name + "' exhausted its retries";
       return false;
     }
     if (rec != nullptr) {
-      rec->annotate(rank, name, {dsan::span_of(rx.data(), rx.size())},
-                    {dsan::span_of(plan.fields(rank).src.data() + msg.ghost_base,
-                                   static_cast<std::size_t>(msg.count()))},
-                    last_tx[i]);
+      rec->annotate(m.dst, name, {dsan::span_of(payload.data(), payload.size())},
+                    {dsan::span_of(plan.fields(m.dst).src.data() + hm.ghost_base,
+                                   static_cast<std::size_t>(hm.count()))},
+                    m.tx);
     }
   }
 
   for (const Shard& sh : shards) {
     if (sh.n_boundary == 0) continue;
     const std::string name = "dslash-boundary r" + std::to_string(sh.rank);
-    if (!submit_dslash_resilient(sh, sh.n_interior, sh.n_boundary, name,
-                                 pt.boundary[static_cast<std::size_t>(sh.rank)])) {
+    if (!submit_range(sh, sh.n_interior, sh.n_boundary, name,
+                      pt.boundary[static_cast<std::size_t>(sh.rank)])) {
       fail_reason = "boundary kernel '" + name + "' exhausted the strategy ladder";
       return false;
     }
@@ -1307,7 +1074,7 @@ bool MultiDeviceRunner::run_attempt(DslashProblem& problem, const MultiDevReques
     }
   }
 
-  // --- Gather output and assemble the overlap timeline. -------------------
+  // --- gather the output and assemble the overlap timeline. -------------
   plan.store(problem.c());
   assemble_timeline(problem, plan, sw, pt, res);
   return true;
@@ -1327,107 +1094,16 @@ void MultiDeviceRunner::run_functional(DslashProblem& problem, ShardPlan& plan, 
     throw std::invalid_argument("run_functional: the plan for grid " + plan.grid().label() +
                                 " was built for a different problem");
   }
-  const std::vector<Shard>& shards = plan.shards();
-  const SpinorWire sw = wire_fmt.spinor;
-  plan.load(problem.b());
-  plan.size_wires(sw);
-  minisycl::queue q(minisycl::ExecMode::functional, minisycl::QueueOrder::in_order, machine_,
-                    cal_);
-  constexpr int kPackLocal = 96;
-
-  dsan::Recorder* rec = dsan::Recorder::current();
-  if (rec != nullptr) {
-    rec->barrier("apply @ " + plan.grid().label());
-    // One functional queue serves every logical shard; annotate() re-assigns
-    // each launch to its acting rank right after submission.
-    q.set_kernel_hook([rec](const std::string& name, const gpusim::KernelStats&) {
-      rec->kernel(dsan::kHostActor, name);
-    });
+  MultiDevRequest mreq;
+  mreq.grid = plan.grid();
+  mreq.req = RunRequest{.strategy = s, .order = o, .local_size = preferred_local_size};
+  mreq.wire = wire_fmt;
+  mreq.mode = minisycl::ExecMode::functional;
+  MultiDevResult res;
+  std::string reason;
+  if (!drive(problem, mreq, plan, res, reason)) {
+    throw std::runtime_error("run_functional: " + reason);
   }
-
-  // pack -> (wire) -> interior (ghosts still poisoned) -> unpack -> boundary
-  std::vector<std::vector<double>> scales(shards.size());
-  std::vector<std::vector<std::uint64_t>> tx(shards.size());
-  for (const Shard& sh : shards) {
-    const std::vector<std::vector<std::byte>>& wires = plan.fields(sh.rank).wire;
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      const ShardFields& sender = plan.fields(msg.peer);
-      const double scale = message_scale(sw, sender.src.data(), msg);
-      scales[static_cast<std::size_t>(sh.rank)].push_back(scale);
-      with_pack_kernel(plan, sh, mi, sw, kPackLocal, scale,
-                       [&](const minisycl::LaunchSpec& spec, const auto& pack) {
-                         q.submit(spec, pack);
-                       });
-      if (rec != nullptr) {
-        rec->annotate(
-            msg.peer, pack_site(msg.peer, sh.rank),
-            {dsan::span_of(sender.src.data(),
-                           static_cast<std::size_t>(
-                               shards[static_cast<std::size_t>(msg.peer)].sources())),
-             dsan::span_of(msg.send_slots.data(), msg.send_slots.size())},
-            {dsan::span_of(wires[mi].data(), wires[mi].size())});
-        tx[static_cast<std::size_t>(sh.rank)].push_back(
-            rec->send(msg.peer, sh.rank, exchange_site(msg.peer, sh.rank), /*round=*/1,
-                      dsan::span_of(wires[mi].data(), wires[mi].size()),
-                      /*dropped=*/false, /*aggregated=*/false));
-      }
-    }
-  }
-
-  const RunRequest req{.strategy = s, .order = o, .local_size = preferred_local_size};
-  const VariantInfo& vi = variant_info(Variant::SYCL);
-  for (const Shard& sh : shards) {
-    if (sh.n_interior == 0) continue;
-    ShardFields& f = plan.fields(sh.rank);
-    const int ls = pick_local_size(s, o, preferred_local_size, sh.n_interior);
-    submit_dslash(q, range_args(f, sh, 0, sh.n_interior), sh.extended_sources(), req, vi, ls,
-                  "dslash-interior");
-    if (rec != nullptr) {
-      rec->annotate(sh.rank, "dslash-interior r" + std::to_string(sh.rank),
-                    {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.sources()))},
-                    {dsan::span_of(f.dst.data(), static_cast<std::size_t>(sh.n_interior))});
-    }
-  }
-
-  for (const Shard& sh : shards) {
-    ShardFields& f = plan.fields(sh.rank);
-    for (std::size_t mi = 0; mi < sh.halo.size(); ++mi) {
-      const HaloMsg& msg = sh.halo[mi];
-      const std::vector<std::byte>& wire = f.wire[mi];
-      if (rec != nullptr) {
-        rec->recv(tx[static_cast<std::size_t>(sh.rank)][mi], /*delivered=*/true,
-                  {dsan::span_of(wire.data(), wire.size())});
-      }
-      if (detail::skip_unpack(sh.rank, mi)) continue;
-      with_unpack_kernel(plan, sh, mi, sw, kPackLocal, wire.data(),
-                         scales[static_cast<std::size_t>(sh.rank)][mi],
-                         [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
-                           q.submit(spec, unpack);
-                         });
-      if (rec != nullptr) {
-        rec->annotate(sh.rank, unpack_site(msg.peer, sh.rank),
-                      {dsan::span_of(wire.data(), wire.size())},
-                      {dsan::span_of(f.src.data() + msg.ghost_base,
-                                     static_cast<std::size_t>(msg.count()))},
-                      tx[static_cast<std::size_t>(sh.rank)][mi]);
-      }
-    }
-    if (sh.n_boundary > 0) {
-      const int ls = pick_local_size(s, o, preferred_local_size, sh.n_boundary);
-      submit_dslash(q, range_args(f, sh, sh.n_interior, sh.n_boundary), sh.extended_sources(),
-                    req, vi, ls, "dslash-boundary");
-      if (rec != nullptr) {
-        rec->annotate(
-            sh.rank, "dslash-boundary r" + std::to_string(sh.rank),
-            {dsan::span_of(f.src.data(), static_cast<std::size_t>(sh.extended_sources()))},
-            {dsan::span_of(f.dst.data() + sh.n_interior,
-                           static_cast<std::size_t>(sh.n_boundary))});
-      }
-    }
-  }
-
-  plan.store(problem.c());
 }
 
 void MultiDeviceRunner::run_reference(DslashProblem& problem, const PartitionGrid& grid,
@@ -1493,8 +1169,7 @@ namespace {
 /// retransmission whose repeated ghost writes are ordered by the launch
 /// boundary, hence clean.
 std::vector<ksan::SanitizerReport> sanitize_messages(DslashProblem& problem,
-                                                     const PartitionGrid& grid,
-                                                     int pack_local_size, SpinorWire sw,
+                                                     const PartitionGrid& grid, SpinorWire sw,
                                                      bool via_copy) {
   ShardPlan plan(problem, grid);
   plan.load(problem.b());
@@ -1512,7 +1187,7 @@ std::vector<ksan::SanitizerReport> sanitize_messages(DslashProblem& problem,
       const double scale = message_scale(sw, peer.src.data(), msg);
 
       with_pack_kernel(
-          plan, sh, mi, sw, pack_local_size, scale,
+          plan, sh, mi, sw, scale,
           [&](const minisycl::LaunchSpec& spec, const auto& pack) {
             const Shard& sender = plan.shards()[static_cast<std::size_t>(msg.peer)];
             ksan::SanitizeConfig cfg;
@@ -1530,7 +1205,7 @@ std::vector<ksan::SanitizerReport> sanitize_messages(DslashProblem& problem,
         if (via_copy) rx.assign(wire.begin(), wire.end());
         const std::vector<std::byte>& payload = via_copy ? rx : wire;
         with_unpack_kernel(
-            plan, sh, mi, sw, pack_local_size, payload.data(), scale,
+            plan, sh, mi, sw, payload.data(), scale,
             [&](const minisycl::LaunchSpec& spec, const auto& unpack) {
               ksan::SanitizeConfig cfg;
               cfg.regions.push_back(ksan::region_of(payload.data(), payload.size()));
@@ -1549,15 +1224,13 @@ std::vector<ksan::SanitizerReport> sanitize_messages(DslashProblem& problem,
 }  // namespace
 
 std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_halo(
-    DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
-    const WireFormat& wire_fmt) const {
-  return sanitize_messages(problem, grid, pack_local_size, wire_fmt.spinor, /*via_copy=*/false);
+    DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire_fmt) const {
+  return sanitize_messages(problem, grid, wire_fmt.spinor, /*via_copy=*/false);
 }
 
 std::vector<ksan::SanitizerReport> MultiDeviceRunner::sanitize_exchange(
-    DslashProblem& problem, const PartitionGrid& grid, int pack_local_size,
-    const WireFormat& wire_fmt) const {
-  return sanitize_messages(problem, grid, pack_local_size, wire_fmt.spinor, /*via_copy=*/true);
+    DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire_fmt) const {
+  return sanitize_messages(problem, grid, wire_fmt.spinor, /*via_copy=*/true);
 }
 
 }  // namespace milc::multidev

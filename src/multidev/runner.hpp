@@ -22,19 +22,20 @@
 // global arrays (ghosts included), with the identical kernel arithmetic —
 // so the multi-device output equals the single-device output of the same
 // strategy bit for bit, for any partition grid.  Tests assert == 0.0.
-// Fault tolerance (docs/RESILIENCE.md "distributed failure model"): when a
-// faultsim plan is installed, run() switches to a hardened path — halo
-// payloads carry checksums, failed/corrupted messages are retransmitted with
+// One driver runs every apply (docs/MULTIDEV.md §2b): profiled pricing,
+// functional applies and each attempt of the hardened recovery loop make
+// the same pass over the ShardPlan — pack (fabric-bound slabs first),
+// interior, exchange rounds, unpack, boundary — and record each protocol
+// step for dsan at one place.  It has two switches, both state the run
+// already carries.  MultiDevRequest::mode picks the queues' ExecMode.  An
+// installed faultsim plan (docs/RESILIENCE.md "distributed failure model")
+// turns on checksummed payloads on receiver-side copies, retransmission with
 // exponential backoff on the simulated clock under a per-exchange watchdog,
-// per-shard kernel faults ride the retry + strategy-fallback ladder, and an
-// unrecoverable device loss triggers failover onto a smaller partition grid.
-// Elastic recovery (docs/RESILIENCE.md "Recovery taxonomy") layers on top:
-// when the topology declares hot spares, a lost shard is re-replicated onto
-// a spare over the priced interconnect instead of shrinking, and when the
-// fault plan heals a stickily-lost resource the abandoned grid is rejoined
-// live — both paths checksummed, retransmitting and charged simulated wire
-// time.  With no plan installed the pre-existing code path runs untouched,
-// so the fault-free timeline and output stay bit-for-bit identical.
+// and per-shard kernel retry on the strategy-fallback ladder; around the
+// driver, run() then adds device and node health checks with failover onto
+// a smaller grid, hot-spare re-replication and live rejoin (docs/RESILIENCE.md
+// "Recovery taxonomy").  Without a plan none of that runs, and a plan that
+// injects nothing leaves every priced number and the output unchanged.
 #pragma once
 
 #include <cstddef>
@@ -87,8 +88,7 @@ struct MultiDevRequest {
   /// byte (checksums, aggregation frames, corruption and retransmission all
   /// operate on the encoded size); the convert is fused into pack/unpack.
   WireFormat wire{};
-  int pack_local_size = 96;  ///< work-group size of the pack/unpack kernels
-  ExchangeConfig xcfg{};     ///< hardened-path parameters (fault plan installed)
+  ExchangeConfig xcfg{};  ///< hardened-path parameters (fault plan installed)
   /// Live-rejoin target (elastic recovery).  When `rejoin_grid.total() >
   /// grid.total()`, a previous run abandoned that larger grid in a shrink
   /// failover; each hardened attempt consults `heal/<rejoin_what> @ <grid>`
@@ -97,9 +97,10 @@ struct MultiDevRequest {
   /// pre-failover grid through here so capacity returns mid-solve.
   PartitionGrid rejoin_grid{};
   std::string rejoin_what;  ///< heal-site grammar: "device r<k>" | "node n<j>"
-  /// Execution mode of the hardened path's queues; the sharded CG solver
-  /// runs functional applies through the same recovery machinery.  The
-  /// fault-free path ignores this (profiled by definition of run()).
+  /// Execution mode of every shard queue, with or without a fault plan: the
+  /// sharded CG solver runs its functional applies through run().  In
+  /// functional mode kernel durations are 0 (queue launch overheads are
+  /// still charged) and the wire is still priced.
   minisycl::ExecMode mode = minisycl::ExecMode::profiled;
 };
 
@@ -233,11 +234,13 @@ class MultiDeviceRunner {
 
   [[nodiscard]] const gpusim::MachineModel& machine() const { return machine_; }
 
-  /// Profiled run.  The kernels execute for real (the output field is
-  /// gathered into problem.c()), and the overlap timeline above is priced
-  /// from per-launch gpusim stats plus the link model.  A 1x1x1x1 grid
-  /// delegates to DslashRunner::run so single-device numbers reproduce the
-  /// existing benches exactly.
+  /// One apply in mreq.mode (profiled by default).  The kernels execute for
+  /// real (the output field is gathered into problem.c()), and the overlap
+  /// timeline above is priced from per-launch gpusim stats plus the link
+  /// model.  Throws std::invalid_argument when the grid needs more devices
+  /// than mreq.topo has; a smaller grid runs on effective_topology().  A
+  /// fault-free profiled 1x1x1x1 grid delegates to DslashRunner::run so
+  /// single-device numbers reproduce the existing benches exactly.
   [[nodiscard]] MultiDevResult run(DslashProblem& problem, const MultiDevRequest& mreq) const;
 
   /// run() over the resident plan in `plan` (shard_plan.hpp): the slot is
@@ -262,7 +265,8 @@ class MultiDeviceRunner {
                                        const MultiDevRequest& mreq) const;
 
   /// Functional run of the full halo protocol (pack -> exchange -> unpack ->
-  /// interior + boundary kernels); output lands in problem.c().  On the
+  /// interior + boundary kernels) through the same driver as run(), on one
+  /// island with no failover; output lands in problem.c().  On the
   /// default fp64 wire the output is bit-for-bit the single-device result;
   /// a reduced wire rounds ghost values only (docs/WIRE.md §5).
   void run_functional(DslashProblem& problem, const PartitionGrid& grid, Strategy s,
@@ -283,8 +287,7 @@ class MultiDeviceRunner {
   /// ksan entry: replay every pack and unpack launch of one exchange under
   /// the sanitizer with exact region declarations (ghost-region OOB, races).
   [[nodiscard]] std::vector<ksan::SanitizerReport> sanitize_halo(
-      DslashProblem& problem, const PartitionGrid& grid, int pack_local_size = 96,
-      const WireFormat& wire = {}) const;
+      DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire = {}) const;
 
   /// ksan entry for the *hardened* exchange data flow: pack -> receiver-side
   /// copy -> unpack-from-copy, with the first message of every shard
@@ -293,8 +296,7 @@ class MultiDeviceRunner {
   /// unpacks into one launch is a cross-group write-write race; the test
   /// suite demonstrates ksan catching exactly that.)
   [[nodiscard]] std::vector<ksan::SanitizerReport> sanitize_exchange(
-      DslashProblem& problem, const PartitionGrid& grid, int pack_local_size = 96,
-      const WireFormat& wire = {}) const;
+      DslashProblem& problem, const PartitionGrid& grid, const WireFormat& wire = {}) const;
 
   /// dsan entry: record one full run — fault-free or hardened, whichever the
   /// installed fault plan selects — as a cluster-wide event graph (kernel
@@ -306,14 +308,15 @@ class MultiDeviceRunner {
       DslashProblem& problem, const MultiDevRequest& mreq) const;
 
  private:
-  [[nodiscard]] MultiDevResult run_plain(DslashProblem& problem, const MultiDevRequest& mreq,
-                                         std::unique_ptr<ShardPlan>& plan) const;
+  /// The recovery loop around drive() (fault plan installed).
   [[nodiscard]] MultiDevResult run_hardened(DslashProblem& problem,
                                             const MultiDevRequest& mreq,
                                             std::unique_ptr<ShardPlan>& plan) const;
-  /// One hardened attempt on the plan's grid.
-  bool run_attempt(DslashProblem& problem, const MultiDevRequest& mreq, ShardPlan& plan,
-                   MultiDevResult& res, std::string& fail_reason) const;
+  /// The halo-exchange driver: one apply on the plan's grid into `res`.
+  /// False (with `fail_reason`) only when an injected fault outlasts its
+  /// retry budget.
+  bool drive(DslashProblem& problem, const MultiDevRequest& mreq, ShardPlan& plan,
+             MultiDevResult& res, std::string& fail_reason) const;
 
   gpusim::MachineModel machine_;
   gpusim::Calibration cal_;
@@ -354,7 +357,7 @@ class MultiDeviceRunner {
 namespace detail {
 
 /// Test seam for the plan's NaN re-poison rule: while an instance is alive
-/// on the calling thread, run_functional skips the unpack of inbound message
+/// on the calling thread, every apply skips the unpack of inbound message
 /// `mi` of shard `rank`, leaving that message's ghost slots as load() left
 /// them.  Mutation tests only; nothing else installs it.
 class ScopedSkipUnpack {

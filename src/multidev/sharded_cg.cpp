@@ -118,13 +118,6 @@ ShardedCgSolver::ShardedCgSolver(int L, std::uint64_t gauge_seed, double mass,
 
 bool ShardedCgSolver::run_dslash(DslashProblem& problem, std::unique_ptr<ShardPlan>& plan,
                                  ShardedCgResult* res, const WireFormat& wire) {
-  if (faultsim::Injector::current() == nullptr) {
-    // Fault-free: the plain functional protocol, bit-for-bit the exactness-
-    // tested path (and bit-for-bit what the identity test's lambda runs).
-    runner_.run_functional(problem, resident_plan(plan, problem, grid_), cfg_.strategy,
-                           cfg_.order, cfg_.local_size, wire);
-    return true;
-  }
   MultiDevRequest mreq;
   mreq.grid = grid_;
   mreq.req.strategy = cfg_.strategy;

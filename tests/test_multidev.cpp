@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "core/dslash_ref.hpp"
 #include "multidev/runner.hpp"
@@ -299,6 +300,52 @@ TEST(Topology, EffectiveTopologyTracksFailover) {
   // A survivor count that does not fill whole node groups collapses too —
   // post-failover remnants are treated as NVLink peers.
   EXPECT_EQ(effective_topology(gpusim::cluster(2, 4), 6).nodes, 1);
+}
+
+// One device-count rule on both paths, checked before any fault consult:
+// a grid may need fewer devices than the topology declares (it is re-packed
+// by effective_topology) but never more.
+TEST(Topology, GridLargerThanTheTopologyIsRejectedOnBothPaths) {
+  MultiDevRequest mreq;
+  mreq.grid = PartitionGrid{.devices = {1, 1, 2, 2}};
+  mreq.topo = gpusim::cluster(2, 1);
+  const MultiDeviceRunner runner;
+  DslashProblem problem(12, /*seed=*/7);
+  EXPECT_THROW((void)runner.run(problem, mreq), std::invalid_argument);
+  faultsim::FaultPlan plan;
+  plan.schedule.push_back(
+      faultsim::ScheduledFault{faultsim::FaultKind::device_loss, 0, 1, "device r0"});
+  faultsim::ScopedFaultInjection fi(plan);
+  EXPECT_THROW((void)runner.run(problem, mreq), std::invalid_argument);
+  EXPECT_TRUE(faultsim::Injector::current()->log().empty())
+      << "the rejection must precede the device health checks";
+}
+
+TEST(Topology, SmallerGridIsRepackedOnBothPaths) {
+  const RunRequest req{.strategy = Strategy::LP3_1,
+                       .order = IndexOrder::kMajor,
+                       .local_size = 768,
+                       .variant = Variant::SYCL};
+  DslashProblem expected(12, /*seed=*/7);
+  DslashRunner().run_functional(expected, req.strategy, req.order, req.local_size);
+
+  MultiDevRequest mreq;
+  mreq.grid = PartitionGrid::along(3, 2);
+  mreq.req = req;
+  mreq.topo = gpusim::cluster(2, 2);  // 4 devices; 2 fit in one node group
+  mreq.mode = minisycl::ExecMode::functional;
+  const MultiDeviceRunner runner;
+  for (const bool with_plan : {false, true}) {
+    SCOPED_TRACE(with_plan ? "empty fault plan" : "fault-free");
+    DslashProblem problem(12, /*seed=*/7);
+    std::optional<faultsim::ScopedFaultInjection> fi;
+    if (with_plan) fi.emplace(faultsim::FaultPlan{});
+    const MultiDevResult res = runner.run(problem, mreq);
+    EXPECT_EQ(res.nodes, 1);
+    EXPECT_EQ(res.inter_node_bytes, 0);
+    EXPECT_EQ(res.intra_node_bytes, res.halo_bytes);
+    EXPECT_EQ(max_abs_diff(expected.c(), problem.c()), 0.0);
+  }
 }
 
 TEST(GridScore, ClassifiesIntraAndInterBytesExactly) {
