@@ -6,12 +6,16 @@
 //                --L 32 to reproduce at paper scale, ~10-15x slower to
 //                simulate on one host core)
 //   --seed <n>   gauge/source RNG seed
+// A numeric flag with a malformed or missing value exits with code 2.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -39,35 +43,56 @@ struct Options {
   std::string wire;
 };
 
+/// The value after flag argv[i], advancing i; a missing one exits with code 2.
+inline const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 < argc) return argv[++i];
+  std::fprintf(stderr, "%s: %s needs a value\n", argv[0], argv[i]);
+  std::exit(2);
+}
+
+/// Parses all of the value after flag argv[i] as a number into `out`; a
+/// malformed, out-of-range or missing value exits with code 2.
+template <class T>
+void flag_number(int argc, char** argv, int& i, T& out) {
+  const char* flag = argv[i];
+  const char* text = flag_value(argc, argv, i);
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc{} && ptr == end) return;
+  std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv[0], flag, text);
+  std::exit(2);
+}
+
 inline Options parse_options(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--L") == 0 && i + 1 < argc) {
-      o.L = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      o.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      o.csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      o.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sanitize") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--L") {
+      flag_number(argc, argv, i, o.L);
+    } else if (arg == "--seed") {
+      flag_number(argc, argv, i, o.seed);
+    } else if (arg == "--csv") {
+      o.csv_path = flag_value(argc, argv, i);
+    } else if (arg == "--json") {
+      o.json_path = flag_value(argc, argv, i);
+    } else if (arg == "--sanitize") {
       o.sanitize = true;
-    } else if (std::strcmp(argv[i], "--dsan") == 0) {
+    } else if (arg == "--dsan") {
       o.dsan = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
+    } else if (arg == "--faults") {
       o.faults = true;
-      o.fault_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      o.nodes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tune-cache") == 0 && i + 1 < argc) {
-      o.tune_cache_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--stamp") == 0 && i + 1 < argc) {
-      o.stamp = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--spares") == 0 && i + 1 < argc) {
-      o.spares = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--wire") == 0 && i + 1 < argc) {
-      o.wire = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
+      flag_number(argc, argv, i, o.fault_seed);
+    } else if (arg == "--nodes") {
+      flag_number(argc, argv, i, o.nodes);
+    } else if (arg == "--tune-cache") {
+      o.tune_cache_path = flag_value(argc, argv, i);
+    } else if (arg == "--stamp") {
+      flag_number(argc, argv, i, o.stamp);
+    } else if (arg == "--spares") {
+      flag_number(argc, argv, i, o.spares);
+    } else if (arg == "--wire") {
+      o.wire = flag_value(argc, argv, i);
+    } else if (arg == "--help") {
       std::printf(
           "usage: %s [--L <extent>] [--seed <n>] [--csv <path>] [--json <path>] "
           "[--sanitize] [--dsan] [--faults <fault seed>] [--nodes <n>] "

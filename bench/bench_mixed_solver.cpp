@@ -12,32 +12,23 @@ using namespace milc::bench;
 
 namespace {
 
-/// Inner float CG on the normal operator; returns iterations used.
+/// Inner float CG on the normal operator from the zero guess; returns
+/// iterations used.
 int float_cg(const LatticeGeom& geom, const FloatDslash& feo, const FloatDslash& foe,
              double m2, const FloatColorField& rhs, FloatColorField& x, double rel_tol,
              int max_iter) {
-  FloatColorField r = rhs, p = rhs, Ap(geom, Parity::Even), t(geom, Parity::Odd);
-  x.zero();
-  double rr = norm2(r);
-  const double target = rel_tol * rel_tol * norm2(rhs);
-  int it = 0;
-  for (; it < max_iter && rr > target; ++it) {
-    foe.apply(p, t);
-    feo.apply(t, Ap);
-    for (std::int64_t s = 0; s < Ap.size(); ++s) {
+  FloatColorField t(geom, Parity::Odd);
+  auto apply = [&](const FloatColorField& in, FloatColorField& out) {
+    foe.apply(in, t);
+    feo.apply(t, out);
+    for (std::int64_t s = 0; s < out.size(); ++s) {
       for (int c = 0; c < kColors; ++c) {
-        Ap[s].c[c].re = static_cast<float>(m2) * p[s].c[c].re - Ap[s].c[c].re;
-        Ap[s].c[c].im = static_cast<float>(m2) * p[s].c[c].im - Ap[s].c[c].im;
+        out[s].c[c].re = static_cast<float>(m2) * in[s].c[c].re - out[s].c[c].re;
+        out[s].c[c].im = static_cast<float>(m2) * in[s].c[c].im - out[s].c[c].im;
       }
     }
-    const double alpha = rr / dot(p, Ap).re;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, p);
-    rr = rr_new;
-  }
-  return it;
+  };
+  return cg::solve(apply, rhs, x, rel_tol, max_iter, cg::Guess::zero).iterations;
 }
 
 }  // namespace

@@ -1026,9 +1026,7 @@ int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   int max_devices = 8;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-devices") == 0 && i + 1 < argc) {
-      max_devices = std::atoi(argv[i + 1]);
-    }
+    if (std::strcmp(argv[i], "--max-devices") == 0) flag_number(argc, argv, i, max_devices);
   }
 
   const RunRequest req{.strategy = Strategy::LP3_1,

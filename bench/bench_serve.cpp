@@ -393,8 +393,7 @@ int serve_main(int argc, char** argv) {
   const bench::Options opt = bench::parse_options(argc, argv);
   std::uint64_t chaos_seed = 2024;
   for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc)
-      chaos_seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
+    if (std::strcmp(argv[i], "--chaos") == 0) bench::flag_number(argc, argv, i, chaos_seed);
 
   std::printf("== bench_serve: resilient multi-tenant solver service ==\n");
 

@@ -8,12 +8,14 @@
 // exactly how MILC's su3_rhmd_hisq spends most of its cycles.
 //
 //   ./examples/cg_solver [--L 8] [--mass 0.1] [--tol 1e-8]
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "core/kernels_3lp.hpp"
+#include "core/cg.hpp"
 #include "core/dslash_ref.hpp"
+#include "core/kernels_3lp.hpp"
 #include "minisycl/queue.hpp"
 
 using namespace milc;
@@ -62,9 +64,8 @@ int main(int argc, char** argv) {
 
   ColorField b(geom, Parity::Even), x(geom, Parity::Even);
   b.fill_random(11);
-  x.zero();
 
-  ColorField tmp_o(geom, Parity::Odd), tmp_e(geom, Parity::Even);
+  ColorField tmp_o(geom, Parity::Odd);
   // A x = m^2 x - D_eo (D_oe x)
   auto apply_A = [&](const ColorField& in, ColorField& out) {
     D_oe.apply(q, in, tmp_o);
@@ -73,24 +74,19 @@ int main(int argc, char** argv) {
     axpy(mass * mass, in, out);
   };
 
-  // Conjugate gradients.
-  ColorField r = b, p = b, Ap(geom, Parity::Even);
-  double rr = norm2(r);
+  // Conjugate gradients from the zero guess, printing progress every 10 steps.
   const double b2 = norm2(b);
   std::printf("CG on %d^4 lattice, mass=%.3f, |b|^2=%.4e\n", L, mass, b2);
-  int it = 0;
-  for (; it < 2000 && rr / b2 > tol * tol; ++it) {
-    apply_A(p, Ap);
-    const double pAp = dot(p, Ap).re;
-    const double alpha = rr / pAp;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, p);  // p = r + beta p
-    rr = rr_new;
-    if (it % 10 == 0) std::printf("  iter %4d  relative residual %.3e\n", it, std::sqrt(rr / b2));
-  }
-  std::printf("converged in %d iterations: relative residual %.3e\n", it, std::sqrt(rr / b2));
+  const CgResult res = cg::solve(apply_A, b, x, tol, 2000, cg::Guess::zero,
+                                 [b2](cg::State<ColorField>& s) {
+                                   if (s.iter % 10 == 0) {
+                                     std::printf("  iter %4d  relative residual %.3e\n", s.iter,
+                                                 std::sqrt(s.rr / b2));
+                                   }
+                                   return cg::Next::step;
+                                 });
+  std::printf("converged in %d iterations: relative residual %.3e\n", res.iterations,
+              res.relative_residual);
 
   // Independent verification: ||A x - b|| with the serial reference Dslash.
   GaugeView ve(geom, cfg, Parity::Even), vo(geom, cfg, Parity::Odd);
@@ -103,5 +99,5 @@ int main(int argc, char** argv) {
   axpy(-1.0, b, t2);
   std::printf("reference check: ||A x - b|| / ||b|| = %.3e\n",
               std::sqrt(norm2(t2) / b2));
-  return std::sqrt(rr / b2) <= tol * 10 ? 0 : 1;
+  return res.relative_residual <= tol * 10 ? 0 : 1;
 }

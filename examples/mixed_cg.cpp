@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/cg.hpp"
 #include "core/dslash_ref.hpp"
 #include "core/precision.hpp"
 
@@ -59,25 +60,15 @@ struct Operators {
   }
 };
 
-/// Inner float CG: solve A e = r to a (float-limited) relative tolerance.
+/// Inner float CG from the zero guess: solve A e = r to a (float-limited)
+/// relative tolerance; returns iterations used.
 int float_cg(const Operators& ops, const FloatColorField& rhs, FloatColorField& x,
              double rel_tol, int max_iter) {
-  const LatticeGeom& g = ops.geom;
-  FloatColorField r = rhs, p = rhs, Ap(g, Parity::Even), tmp_o(g, Parity::Odd);
-  x.zero();
-  double rr = norm2(r);
-  const double target = rel_tol * rel_tol * norm2(rhs);
-  int it = 0;
-  for (; it < max_iter && rr > target; ++it) {
-    ops.apply_float(p, Ap, tmp_o);
-    const double alpha = rr / dot(p, Ap).re;
-    axpy(alpha, p, x);
-    axpy(-alpha, Ap, r);
-    const double rr_new = norm2(r);
-    xpay(r, rr_new / rr, p);
-    rr = rr_new;
-  }
-  return it;
+  FloatColorField tmp_o(ops.geom, Parity::Odd);
+  auto apply = [&](const FloatColorField& in, FloatColorField& out) {
+    ops.apply_float(in, out, tmp_o);
+  };
+  return cg::solve(apply, rhs, x, rel_tol, max_iter, cg::Guess::zero).iterations;
 }
 
 }  // namespace

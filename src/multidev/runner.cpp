@@ -236,19 +236,6 @@ void assemble_timeline(const DslashProblem& problem, const ShardPlan& plan, Spin
       res.per_iter_us > 0.0 ? problem.flops() / (res.per_iter_us * 1e-6) / 1e9 : 0.0;
 }
 
-/// FNV-1a over raw bytes — the per-message halo-payload checksum.  Not
-/// cryptographic; it only needs to catch the injector's bit flips, and a
-/// single flipped bit always perturbs the multiply-xor chain.
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Adapt the caller's request to a fallback rung (same policy as
 /// ResilientRunner): plain SYCL variant, and the first paper-valid
 /// (order, local size) when the caller's choice does not exist there.
@@ -950,7 +937,7 @@ bool MultiDeviceRunner::drive(DslashProblem& problem, const MultiDevRequest& mre
       res.intra_wire_us += frep.intra_wire_us;
       res.inter_wire_us += frep.inter_wire_us;
     } else {
-      res.intra_node_bytes += simulate_exchange(mreq.link, wire_msgs, ndev).total_bytes;
+      res.intra_node_bytes += simulate_exchange(topo.intra, wire_msgs, ndev).total_bytes;
     }
 
     // Transmissions enter the trace after the wire simulation so the drop

@@ -72,11 +72,10 @@ struct ExchangeConfig {
 struct MultiDevRequest {
   PartitionGrid grid{};
   RunRequest req{};  ///< strategy / order / preferred local size / variant
-  gpusim::LinkModel link = gpusim::dgx_a100_links();
-  /// Two-level interconnect.  With `topo.nodes == 1` (the default) the run
-  /// is single-node: `link` prices the exchange and nothing else changes.
-  /// With `topo.nodes > 1`, `topo` replaces `link` entirely (`topo.intra`
-  /// is the island model): grid ranks are grouped into node groups of
+  /// Interconnect: one topology prices every run.  `topo.intra` is the
+  /// NVLink island model.  With `topo.nodes == 1` (the default) the run is
+  /// single-node and the island prices the whole exchange.  With
+  /// `topo.nodes > 1`, grid ranks are grouped into node groups of
   /// `topo.devices_per_node` devices, fabric-bound slabs are packed first
   /// and aggregated per neighbour, and the exchange is priced by
   /// simulate_topology_exchange.  The *output field* is identical either
@@ -353,6 +352,20 @@ class MultiDeviceRunner {
 /// multiple — the executor runs the partial last warp correctly.
 /// Throws std::invalid_argument only for an empty range.
 [[nodiscard]] int pick_local_size(Strategy s, IndexOrder o, int preferred, std::int64_t sites);
+
+/// FNV-1a over raw bytes — the per-message halo-payload checksum and the
+/// sharded solver's snapshot checksum.  Not cryptographic; it only needs to
+/// catch the injector's bit flips, and a single flipped bit always perturbs
+/// the multiply-xor chain.
+[[nodiscard]] inline std::uint64_t fnv1a(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 namespace detail {
 

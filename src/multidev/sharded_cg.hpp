@@ -22,9 +22,11 @@
 //    independent of the grid) makes the replay deterministic even on the
 //    post-failover grid.
 //
-// With no fault plan installed every tier is pass-through: the iteration
-// trajectory is bit-for-bit the one cg_solve produces over the same sharded
-// apply (asserted in tests/test_sharded_cg.cpp).
+// The recursion is the one CG core (core/cg.hpp) that cg_solve also runs;
+// each tier is an apply wrapper or an observer on it.  With no fault plan
+// installed every tier is pass-through: the iteration trajectory is
+// bit-for-bit the one cg_solve produces over the same sharded apply
+// (asserted in tests/test_sharded_cg.cpp).
 #pragma once
 
 #include <functional>
@@ -42,9 +44,8 @@ struct ShardedCgConfig {
   Strategy strategy = Strategy::LP3_1;
   IndexOrder order = IndexOrder::kMajor;
   int local_size = 768;
-  gpusim::LinkModel link = gpusim::dgx_a100_links();
-  /// Two-level interconnect; nodes == 1 (default) keeps the single-node
-  /// path on `link`.  Multi-node solves exchange halos over the fabric tier
+  /// Interconnect; nodes == 1 (default) is one NVLink island priced on
+  /// `topo.intra`.  Multi-node solves exchange halos over the fabric tier
   /// and recover from node loss exactly like device loss (the hardened
   /// runner shrinks the grid below the survivor count in one failover).
   gpusim::NodeTopology topo{};
@@ -205,6 +206,11 @@ class ShardedCgSolver {
                   ShardedCgResult* res, const WireFormat& wire);
   bool apply_raw(const ColorField& in, ColorField& out, ShardedCgResult* res,
                  const WireFormat& wire);
+  /// The functional request of one hop on the current grid.
+  [[nodiscard]] MultiDevRequest request(const WireFormat& wire) const;
+
+  /// One solve's recovery tiers: apply wrappers and observers on the CG core.
+  struct Tiers;
 
   double mass_;
   PartitionGrid grid_;

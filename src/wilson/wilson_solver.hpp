@@ -14,6 +14,7 @@
 // S^dagger S x = S^dagger b without ever forming an adjoint operator.
 #pragma once
 
+#include "core/cg.hpp"
 #include "wilson/wilson.hpp"
 
 namespace milc::wilson {
@@ -50,15 +51,10 @@ void axpy(double alpha, const WilsonField& x, WilsonField& y);
 void xpay(const WilsonField& x, double alpha, WilsonField& y);
 void scale(double alpha, WilsonField& y);
 
-struct WilsonCgResult {
-  bool converged = false;
-  int iterations = 0;
-  double relative_residual = 0.0;       ///< of the normal equations
-  double true_relative_residual = 0.0;  ///< ||S x - b|| / ||b||
-};
-
-/// Solve S x = b on even sites by CG on S^dagger S (CGNE).
-WilsonCgResult solve_schur_cg(const WilsonOperator& op, const WilsonField& b, WilsonField& x,
-                              double rel_tol = 1e-8, int max_iterations = 5000);
+/// Solve S x = b on even sites by CG on S^dagger S (CGNE).  The recursion
+/// residual is that of the normal equations; `true_relative_residual` is
+/// ||S x - b|| / ||b||.
+CgResult solve_schur_cg(const WilsonOperator& op, const WilsonField& b, WilsonField& x,
+                        double rel_tol = 1e-8, int max_iterations = 5000);
 
 }  // namespace milc::wilson

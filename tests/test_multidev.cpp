@@ -10,6 +10,7 @@
 //    arithmetic on bit-identical inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -300,6 +301,32 @@ TEST(Topology, EffectiveTopologyTracksFailover) {
   // A survivor count that does not fill whole node groups collapses too —
   // post-failover remnants are treated as NVLink peers.
   EXPECT_EQ(effective_topology(gpusim::cluster(2, 4), 6).nodes, 1);
+}
+
+// One topology prices every run: a one-node run's wire rounds ride the
+// island model `topo.intra`, so a slower island delays the halo arrivals.
+TEST(Topology, OneNodeRunIsPricedOnTheTopologyIsland) {
+  MultiDevRequest mreq;
+  mreq.grid = PartitionGrid{.devices = {1, 1, 2, 2}};
+  mreq.req = RunRequest{.strategy = Strategy::LP3_1,
+                        .order = IndexOrder::kMajor,
+                        .local_size = 768,
+                        .variant = Variant::SYCL};
+  ASSERT_FALSE(mreq.topo.multi_node());
+  const MultiDeviceRunner runner;
+  DslashProblem problem(12, /*seed=*/7);
+  auto last_arrival = [&] {
+    double a = 0.0;
+    for (const DeviceTimeline& d : runner.run(problem, mreq).per_device) {
+      a = std::max(a, d.arrival_us);
+    }
+    return a;
+  };
+  const double fast = last_arrival();
+  mreq.topo.intra.nvlink_bw_gbs /= 100.0;
+  const double slow = last_arrival();
+  EXPECT_GT(fast, 0.0);
+  EXPECT_GT(slow, fast + 10.0) << "each 62 208 B slab takes ~20 us more at 3 GB/s";
 }
 
 // One device-count rule on both paths, checked before any fault consult:

@@ -49,7 +49,7 @@ TEST(WilsonSolver, ConvergesWithTrueResidual) {
   WilsonField b(f.geom, Parity::Even), x(f.geom, Parity::Even);
   b.fill_random(4);
   x.zero();
-  const WilsonCgResult r = solve_schur_cg(op, b, x, 1e-9, 4000);
+  const CgResult r = solve_schur_cg(op, b, x, 1e-9, 4000);
   EXPECT_TRUE(r.converged);
   EXPECT_LT(r.true_relative_residual, 1e-7);
   EXPECT_GT(r.iterations, 1);
